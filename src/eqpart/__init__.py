@@ -28,12 +28,9 @@ from .hamming import (
 )
 from .partitions import (
     FiberMismatch,
-    NotCompletelyRegular,
     NotEquitable,
     QuotientMatrix,
-    RPartition,
     TwoPartition,
-    distance_partition_check,
     equitable_check,
     essential_coordinates,
     extend,
@@ -70,7 +67,6 @@ from .constructions import (
     AlphabetBlocks,
     GridImbalance,
     LiftBlocks,
-    alphabet_lift,
     eight_cycle_partition,
     grid_clique_balance,
     grid_quotient,

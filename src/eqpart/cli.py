@@ -406,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--quotient", help='explicit quotient matrix "s11,s12;s21,s22"')
     s.add_argument("--reduced-only", action="store_true")
     s.add_argument("--up-to-iso", action="store_true")
-    r = s.add_mutually_exclusive_group()
-    r.add_argument("--brute-force", action="store_true", help="sweep all cells")
-    r.add_argument("--backtrack", action="store_true", help="pruned search (default)")
-    s.add_argument("--threads", type=int, default=1, help="worker processes for --backtrack")
+    s.add_argument("--brute-force", action="store_true",
+                   help="sweep all cells instead of the pruned search")
+    s.add_argument("--threads", type=int, default=1,
+                   help="worker processes for the pruned search (at most the CPU count)")
     s.set_defaults(func=_cmd_enumerate)
 
     s = sub.add_parser("classify-t5", help="tag a reduced second-eigenvalue partition")

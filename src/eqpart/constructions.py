@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .hamming import GraphParams, decode_vertex, encode_vertex, neighbor_table
+from .hamming import GraphParams, decode_vertex, neighbor_table
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
-    RPartition,
     TwoPartition,
     equitable_check,
     extend,
@@ -245,10 +244,10 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
     return switched
 
 
-def alphabet_lift(p: RPartition, blocks: LiftBlocks) -> RPartition:
+def lift_two_partition(p: TwoPartition, blocks: LiftBlocks) -> TwoPartition:
     """Blow up each symbol t of H(n, q') to the block A_t inside H(n, mq').
 
-    The cell of a lifted vertex is the cell of its block word.  The input
+    A lifted vertex lies in the cell iff its block word does.  The input
     must be equitable; the output is re-verified and its quotient matrix
     must equal m*S + n(m-1)*I, which preserves the eigenvalue index set.
     """
@@ -261,32 +260,23 @@ def alphabet_lift(p: RPartition, blocks: LiftBlocks) -> RPartition:
     m = blocks.block_size
     new_params = GraphParams(params.n, blocks.q)
     block_of = blocks.block_of()
-    labels = []
-    for v in range(new_params.vertex_count):
-        word = tuple(block_of[x] for x in decode_vertex(new_params, v))
-        labels.append(p.labels[encode_vertex(params, word)])
-    lifted = RPartition(new_params, tuple(labels))
+    # block_word[v]: the base vertex spelled by the blocks of v's symbols
+    block_word = [0]
+    for _ in range(params.n):
+        block_word = [w * params.q + block_of[x] for w in block_word for x in range(blocks.q)]
+    inside = p.indicator()
+    lifted = TwoPartition(
+        new_params, int("".join("01"[inside[w]] for w in reversed(block_word)), 2)
+    )
     s_out = equitable_check(lifted)
-    expected = QuotientMatrix(tuple(
-        tuple(m * s_base.rows[i][j] + (params.n * (m - 1) if i == j else 0)
-              for j in range(s_base.r))
-        for i in range(s_base.r)
-    ))
+    (s11, s12), (s21, s22) = s_base.rows
+    shift = params.n * (m - 1)
+    expected = QuotientMatrix(((m * s11 + shift, m * s12), (m * s21, m * s22 + shift)))
     if s_out != expected:
         raise AssertionError("lifted partition has an unexpected quotient matrix")
     if quotient_eigenvalue_indices(s_out, new_params) != quotient_eigenvalue_indices(s_base, params):
         raise AssertionError("lifting changed the eigenvalue index set")
     return lifted
-
-
-def lift_two_partition(p: TwoPartition, blocks: LiftBlocks) -> TwoPartition:
-    """alphabet_lift specialized to 2-partitions (cell = lifted cell)."""
-    lifted = alphabet_lift(RPartition.from_two_partition(p), blocks)
-    bits = 0
-    for v, label in enumerate(lifted.labels):
-        if label == 0:
-            bits |= 1 << v
-    return TwoPartition(lifted.params, bits)
 
 
 _EIGHT_CYCLE_TUPLES = (

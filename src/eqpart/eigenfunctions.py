@@ -307,5 +307,5 @@ def partition_eigenfunction(p: TwoPartition, s: QuotientMatrix) -> VertexFunctio
     """
     quotient_eigenvalues(s, p.params)  # validates shape and row sums
     s12, s21 = s.rows[0][1], s.rows[1][0]
-    vals = tuple(s12 if p.contains(v) else -s21 for v in range(p.params.vertex_count))
+    vals = tuple(s12 if b else -s21 for b in p.indicator())
     return VertexFunction(p.params, vals)

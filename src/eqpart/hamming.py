@@ -35,10 +35,11 @@ class GraphParams:
             raise ValueError(f"need n >= 1, got n={self.n}")
         if self.q < 2:
             raise ValueError(f"need q >= 2, got q={self.q}")
-        count = self.q ** self.n
-        if count > MAX_VERTICES:
-            raise ValueError(f"q^n = {count} exceeds the 2^32 vertex guard")
-        object.__setattr__(self, "vertex_count", count)
+        # As q >= 2 and n >= 1, n > 32 or q > 2^32 puts q^n past the guard;
+        # testing them first keeps the power below 2^1024.
+        if self.n > 32 or self.q > MAX_VERTICES or self.q ** self.n > MAX_VERTICES:
+            raise ValueError("q^n exceeds the 2^32 vertex guard")
+        object.__setattr__(self, "vertex_count", self.q ** self.n)
         object.__setattr__(self, "degree", self.n * (self.q - 1))
 
 

@@ -1,17 +1,18 @@
-"""Vertex partitions of H(n, q) and their equitable-partition certificates.
+"""2-partitions of H(n, q) and their equitable-partition certificates.
 
-A partition (C_1, ..., C_r) is equitable when every vertex of C_i has a
-number of neighbors in C_j depending only on (i, j); those counts form the
-quotient matrix S.  For a 2-partition the cell order is (C, complement),
-so S[0][0] counts neighbors inside C of a C vertex.  All checks run on
-exact integers; rationals use fractions.Fraction.
+A 2-partition (C, complement) is equitable when every vertex of cell i has
+a number of neighbors in cell j depending only on (i, j); those counts form
+the 2x2 quotient matrix S.  The cell order is (C, complement), so S[0][0]
+counts neighbors inside C of a C vertex.  All checks run on exact
+integers; rationals use fractions.Fraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from itertools import compress
+from typing import Iterable, Sequence
 
 from .hamming import (
     Automorphism,
@@ -62,13 +63,6 @@ class NotEquitable:
 
 
 @dataclass(frozen=True)
-class NotCompletelyRegular:
-    """The distance partition of the code is not equitable."""
-
-    witness: NotEquitable
-
-
-@dataclass(frozen=True)
 class FiberMismatch:
     """A fiber {x in C : x_k = symbol} with an unexpected size."""
 
@@ -76,6 +70,9 @@ class FiberMismatch:
     symbol: int
     count: int
     expected: Fraction
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -112,12 +109,17 @@ class TwoPartition:
     def contains(self, v: int) -> bool:
         return bool((self.cell >> v) & 1)
 
+    def indicator(self) -> bytes:
+        """Byte v is 1 if vertex v lies in C, else 0; built in one pass."""
+        bits = format(self.cell, f"0{self.params.vertex_count}b")[::-1]
+        return bits.encode("ascii").translate(_BIT_BYTES)
+
     @property
     def size(self) -> int:
         return self.cell.bit_count()
 
     def vertices(self) -> list[int]:
-        return [v for v in range(self.params.vertex_count) if (self.cell >> v) & 1]
+        return list(compress(range(self.params.vertex_count), self.indicator()))
 
     def complement_bits(self) -> int:
         return ((1 << self.params.vertex_count) - 1) ^ self.cell
@@ -126,73 +128,34 @@ class TwoPartition:
         """The same partition with the cells swapped."""
         return TwoPartition(self.params, self.complement_bits())
 
-    def labels(self) -> tuple[int, ...]:
-        return tuple(0 if (self.cell >> v) & 1 else 1 for v in range(self.params.vertex_count))
 
-
-@dataclass(frozen=True)
-class RPartition:
-    """An ordered r-partition given by a cell label per vertex."""
-
-    params: GraphParams
-    labels: tuple[int, ...]
-    r: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != self.params.vertex_count:
-            raise ValueError("need one label per vertex")
-        r = max(self.labels) + 1
-        if r < 2:
-            raise ValueError("need at least 2 cells")
-        seen = set(self.labels)
-        if seen != set(range(r)):
-            raise ValueError("labels must use every cell index 0..r-1")
-        object.__setattr__(self, "r", r)
-
-    @classmethod
-    def from_two_partition(cls, p: TwoPartition) -> "RPartition":
-        return cls(p.params, p.labels())
-
-
-Partition = Union[TwoPartition, RPartition]
-
-
-def _partition_labels(p: Partition) -> tuple[Sequence[int], int]:
-    if isinstance(p, TwoPartition):
-        return p.labels(), 2
-    return p.labels, p.r
-
-
-def equitable_check(p: Partition) -> QuotientMatrix | NotEquitable:
+def equitable_check(p: TwoPartition) -> QuotientMatrix | NotEquitable:
     """Quotient matrix of p, or the first witness that none exists.
 
-    Vertices are scanned in index order; the reference count vector of a
-    cell is that of its first vertex, and the witness pairs it with the
-    first vertex whose counts differ.
+    Vertices are scanned in index order; the reference count of a cell is
+    that of its first vertex, and the witness pairs it with the first
+    vertex whose number of neighbors in C differs.
     """
-    labels, r = _partition_labels(p)
-    nbrs = neighbor_table(p.params)
-    ref: list[tuple[int, ...] | None] = [None] * r
-    ref_vertex = [0] * r
-    for v in range(p.params.vertex_count):
-        counts = [0] * r
-        for w in nbrs[v]:
-            counts[labels[w]] += 1
-        t = tuple(counts)
-        c = labels[v]
+    inside = p.indicator()
+    ref: list[int | None] = [None, None]
+    ref_vertex = [0, 0]
+    for v, nbrs in enumerate(neighbor_table(p.params)):
+        count = 0
+        for w in nbrs:
+            count += inside[w]
+        c = 1 - inside[v]
         if ref[c] is None:
-            ref[c] = t
+            ref[c] = count
             ref_vertex[c] = v
-        elif t != ref[c]:
-            seen = ref[c]
-            j = next(i for i in range(r) if seen[i] != t[i])
+        elif count != ref[c]:
             return NotEquitable(
                 cell=c,
                 vertices=(ref_vertex[c], v),
-                target_cell=j,
-                counts=(seen[j], t[j]),
+                target_cell=0,
+                counts=(ref[c], count),
             )
-    return QuotientMatrix(tuple(row for row in ref if row is not None))
+    degree = p.params.degree
+    return QuotientMatrix(tuple((k, degree - k) for k in ref))
 
 
 def quotient_eigenvalues(s: QuotientMatrix, params: GraphParams) -> tuple[int, int]:
@@ -209,41 +172,15 @@ def quotient_eigenvalues(s: QuotientMatrix, params: GraphParams) -> tuple[int, i
 def quotient_eigenvalue_indices(s: QuotientMatrix, params: GraphParams) -> dict[int, int]:
     """Multiplicity of each graph eigenvalue index in the quotient spectrum.
 
-    Exact: for every index i the kernel dimension of S - lambda_i(n,q) I is
-    computed by rational Gaussian elimination.  The multiplicities must sum
-    to r, otherwise the quotient has an eigenvalue outside the graph
-    spectrum and a ValueError is raised.
+    The spectrum of a 2x2 quotient is (degree, S11 - S21), so the result is
+    {0: 1, i: 1}, or {0: 2} when S11 - S21 is the degree.  A ValueError is
+    raised when S11 - S21 lies outside the graph spectrum.
     """
-    out: dict[int, int] = {}
-    total = 0
-    for i in range(params.n + 1):
-        lam = eigenvalue(params, i)
-        mult = s.r - _rank_shifted(s, lam)
-        if mult:
-            out[i] = mult
-            total += mult
-    if total != s.r:
+    degree, lam = quotient_eigenvalues(s, params)
+    i, rem = divmod(degree - lam, params.q)
+    if rem or not 0 <= i <= params.n:
         raise ValueError("quotient matrix has an eigenvalue outside the graph spectrum")
-    return out
-
-
-def _rank_shifted(s: QuotientMatrix, lam: int) -> int:
-    r = s.r
-    m = [[Fraction(s.rows[i][j] - (lam if i == j else 0)) for j in range(r)] for i in range(r)]
-    rank = 0
-    for col in range(r):
-        pivot = next((i for i in range(rank, r) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(r):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+    return {0: 2} if i == 0 else {0: 1, i: 1}
 
 
 def predicted_cell_size(s: QuotientMatrix, params: GraphParams) -> Fraction:
@@ -281,10 +218,9 @@ def orthogonal_array_check(p: TwoPartition, s: QuotientMatrix) -> FiberMismatch 
     return None
 
 
-def essential_coordinates(p: Partition) -> frozenset[int]:
+def essential_coordinates(p: TwoPartition) -> frozenset[int]:
     """Coordinates along which some adjacent pair changes cell."""
-    labels, _ = _partition_labels(p)
-    return essential_coordinates_of_values(p.params, labels)
+    return essential_coordinates_of_values(p.params, p.indicator())
 
 
 def reduce(p: TwoPartition) -> tuple[TwoPartition, tuple[int, ...]]:
@@ -303,13 +239,14 @@ def reduce(p: TwoPartition) -> tuple[TwoPartition, tuple[int, ...]]:
         raise ValueError("partition depends on no coordinate; cells cannot both be nonempty")
     kept = sorted(ess)
     new_params = GraphParams(len(kept), params.q)
+    inside = p.indicator()
     bits = 0
     for w in range(new_params.vertex_count):
         digits = decode_vertex(new_params, w)
         full = [0] * params.n
         for pos, k in enumerate(kept):
             full[k - 1] = digits[pos]
-        if p.contains(encode_vertex(params, full)):
+        if inside[encode_vertex(params, full)]:
             bits |= 1 << w
     return TwoPartition(new_params, bits), removed
 
@@ -343,7 +280,7 @@ def spectral_check(p: TwoPartition, lam: int) -> tuple[int, int] | None:
     the two certify each other.
     """
     params = p.params
-    cell = p.cell
+    inside = p.indicator()
     q = params.q
     residual0 = None
     for v in range(params.vertex_count):
@@ -355,51 +292,14 @@ def spectral_check(p: TwoPartition, lam: int) -> tuple[int, int] | None:
             base = v - d * stride
             for s_ in range(q):
                 if s_ != d:
-                    acc += (cell >> (base + s_ * stride)) & 1
-        res = acc - lam * ((cell >> v) & 1)
+                    acc += inside[base + s_ * stride]
+        res = acc - lam * inside[v]
         if residual0 is None:
             residual0 = res
             first = v
         elif res != residual0:
             return (first, v)
     return None
-
-
-def distance_partition_check(
-    params: GraphParams, code: Iterable[int]
-) -> QuotientMatrix | NotCompletelyRegular:
-    """Equitability of the distance partition of a nonempty vertex set.
-
-    Cells are the sets of vertices at Hamming distance 0, 1, ... from the
-    code.  When equitable, the returned matrix is tridiagonal and the code
-    is completely regular.
-    """
-    vs = sorted(set(code))
-    if not vs:
-        raise ValueError("code must be nonempty")
-    if vs[0] < 0 or vs[-1] >= params.vertex_count:
-        raise ValueError("code contains out-of-range vertices")
-    nbrs = neighbor_table(params)
-    dist = [-1] * params.vertex_count
-    frontier = vs
-    for v in frontier:
-        dist[v] = 0
-    d = 0
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in nbrs[v]:
-                if dist[w] < 0:
-                    dist[w] = d + 1
-                    nxt.append(w)
-        frontier = nxt
-        d += 1
-    if max(dist) == 0:
-        raise ValueError("code covers every vertex; the distance partition has one cell")
-    result = equitable_check(RPartition(params, tuple(dist)))
-    if isinstance(result, NotEquitable):
-        return NotCompletelyRegular(result)
-    return result
 
 
 def transform(p: TwoPartition, g: Automorphism) -> TwoPartition:

@@ -16,6 +16,7 @@ not quotiented out: (C, complement) and (complement, C) are distinct.
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -239,28 +240,31 @@ def backtracking_enumerate(
     The search tree is split at a fixed prefix depth into shards whose
     results are merged and sorted, so the output is identical for every
     thread count.  Output is sorted by cell bitset and agrees with
-    brute_force_enumerate wherever both are allowed to run.
+    brute_force_enumerate wherever both are allowed to run.  All shards
+    share one pool of min(threads, os.cpu_count(), shard count) worker
+    processes; with one worker they run in this process.
     """
     candidates = candidate_quotient_matrices(params, constraints)
     depth = min(params.vertex_count, _SHARD_DEPTH)
-    cells: set[int] = set()
+    shards = []
     for s in candidates:
         size = predicted_cell_size(s, params)
         if size.denominator != 1 or not 0 < size < params.vertex_count:
             continue
-        args = [
+        shards.extend(
             (params.n, params.q, s.rows[0][0], s.rows[1][0], int(size), p, depth)
             for p in range(1 << depth)
-        ]
-        if threads <= 1:
-            chunks = [_search_shard(*a) for a in args]
-        else:
-            with ProcessPoolExecutor(max_workers=threads) as ex:
-                chunks = list(
-                    ex.map(_search_shard_star, args, chunksize=max(1, len(args) // (8 * threads)))
-                )
-        for chunk in chunks:
-            cells.update(chunk)
+        )
+    cells: set[int] = set()
+    workers = min(threads, os.cpu_count() or 1, len(shards))
+    if workers <= 1:
+        for a in shards:
+            cells.update(_search_shard(*a))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            chunksize = max(1, (1 << depth) // (8 * workers))
+            for chunk in ex.map(_search_shard_star, shards, chunksize=chunksize):
+                cells.update(chunk)
     out = [TwoPartition(params, c) for c in sorted(cells)]
     if constraints.reduced_only:
         out = [p for p in out if len(essential_coordinates(p)) == params.n]
@@ -376,7 +380,8 @@ def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
     3^(q^n) <= 2^24.
     """
     n_vertices = params.vertex_count
-    if 3 ** n_vertices > TERNARY_SWEEP_LIMIT:
+    # 3^15 <= 2^24 < 3^16: refuse larger graphs before computing the power
+    if n_vertices > 15 or 3 ** n_vertices > TERNARY_SWEEP_LIMIT:
         raise ValueError(f"ternary sweep guarded to 3^(q^n) <= {TERNARY_SWEEP_LIMIT}")
     counts = {Constant: 0, QuasiString: 0, QuasiCross: 0, NotMember: 0}
     for values in itertools.product((-1, 0, 1), repeat=n_vertices):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -192,7 +193,7 @@ def test_reduce(monkeypatch):
 def test_enumerate_routes_agree():
     argv = ["enumerate", "--n", "2", "--q", "2", "--eig-index", "2"]
     code_a, out_a, _ = run(argv + ["--brute-force"])
-    code_b, out_b, _ = run(argv + ["--backtrack"])
+    code_b, out_b, _ = run(argv)
     assert code_a == code_b == 0
     assert out_a == out_b
     lines = out_a.strip().split("\n")
@@ -275,6 +276,21 @@ def test_sweep_ternary():
     }
     code, _, err = run(["sweep-ternary", "--n", "2", "--q", "4"])
     assert code == 2 and "guarded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "1000000", "--q", "3", "--eig-index", "2"],
+    ["enumerate", "--n", "2", "--q", "4294967297", "--eig-index", "2"],
+    ["sweep-ternary", "--n", "25", "--q", "2"],
+    ["sweep-ternary", "--n", "32", "--q", "2"],
+])
+def test_huge_graphs_are_refused_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "guard" in err
 
 
 def test_bad_usage():

@@ -9,7 +9,6 @@ from eqpart.constructions import (
     AlphabetBlocks,
     GridImbalance,
     LiftBlocks,
-    alphabet_lift,
     eight_cycle_partition,
     grid_clique_balance,
     grid_quotient,
@@ -22,7 +21,6 @@ from eqpart.hamming import GraphParams, eigenvalue
 from eqpart.partitions import (
     NotEquitable,
     QuotientMatrix,
-    RPartition,
     TwoPartition,
     equitable_check,
     essential_coordinates,
@@ -206,14 +204,6 @@ def test_alphabet_lift_interleaved_blocks():
     assert lifted.contains(0 * 4 + 1)  # (0,1): blocks (0,1) lie in the cell
     assert lifted.contains(3 * 4 + 2)  # (3,2): blocks (0,1) as well
     assert not lifted.contains(0 * 4 + 3)
-
-
-def test_alphabet_lift_r_partition():
-    labels = RPartition(GraphParams(1, 3), (0, 1, 2))
-    blocks = LiftBlocks((frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})))
-    lifted = alphabet_lift(labels, blocks)
-    assert lifted.r == 3
-    assert lifted.labels == (0, 0, 1, 1, 2, 2)
 
 
 def test_alphabet_lift_validation():

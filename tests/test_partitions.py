@@ -6,15 +6,12 @@ from fractions import Fraction
 import pytest
 
 from eqpart.constructions import eight_cycle_partition
-from eqpart.hamming import GraphParams, eigenvalue, random_automorphism
+from eqpart.hamming import GraphParams, eigenvalue, neighbor_table, random_automorphism
 from eqpart.partitions import (
     FiberMismatch,
-    NotCompletelyRegular,
     NotEquitable,
     QuotientMatrix,
-    RPartition,
     TwoPartition,
-    distance_partition_check,
     equitable_check,
     essential_coordinates,
     extend,
@@ -26,6 +23,7 @@ from eqpart.partitions import (
     spectral_check,
     transform,
 )
+from eqpart.search import _fast_two_quotient
 
 H22 = GraphParams(2, 2)
 H32 = GraphParams(3, 2)
@@ -56,16 +54,7 @@ def test_two_partition_validation():
     assert p.cell == 6 and p.size == 2
     assert p.vertices() == [1, 2]
     assert p.complement().vertices() == [0, 3]
-    assert p.labels() == (1, 0, 0, 1)
-
-
-def test_r_partition_validation():
-    with pytest.raises(ValueError):
-        RPartition(H22, (0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        RPartition(H22, (0, 2, 2, 0))  # label 1 unused
-    p = RPartition(H22, (0, 1, 1, 2))
-    assert p.r == 3
+    assert p.indicator() == bytes((0, 1, 1, 0))
 
 
 def test_equitable_check_pass():
@@ -100,9 +89,14 @@ def test_quotient_eigenvalue_indices():
         QuotientMatrix(((2, 2), (2, 2))), GraphParams(4, 2)
     ) == {0: 1, 2: 1}
     assert quotient_eigenvalue_indices(QuotientMatrix(((0, 3), (3, 0))), H32) == {0: 1, 3: 1}
+    # S11 - S21 equal to the degree gives the degree eigenvalue twice
+    assert quotient_eigenvalue_indices(QuotientMatrix(((3, 0), (0, 3))), H32) == {0: 2}
     with pytest.raises(ValueError):
         # eigenvalue 1 is not in the spectrum {2, 0, -2} of H(2,2)
         quotient_eigenvalue_indices(QuotientMatrix(((1, 1), (0, 2))), H22)
+    with pytest.raises(ValueError):
+        # row sums (2, 3) differ from the degree 3
+        quotient_eigenvalue_indices(QuotientMatrix(((0, 2), (1, 2))), H32)
 
 
 def test_predicted_cell_size():
@@ -164,19 +158,31 @@ def test_reduce_middle_coordinate():
 
 
 def test_spectral_check_matches_equitable_check():
-    """The two equitability routes must agree on every cell of small graphs."""
-    for params in (H22, H32, GraphParams(2, 3)):
+    """The equitability routes must agree on every cell of small graphs:
+    equitable_check, the brute-force counter and spectral_check at every
+    eigenvalue, with the cell read through indicator() as through contains()."""
+    for params in (H22, H32, GraphParams(2, 3), GraphParams(2, 4)):
+        nbrs = neighbor_table(params)
         spectrum = [eigenvalue(params, i) for i in range(params.n + 1)]
         for cell in range(1, (1 << params.vertex_count) - 1):
             p = TwoPartition(params, cell)
+            inside = p.indicator()
+            assert len(inside) == params.vertex_count
+            assert all(inside[v] == p.contains(v) for v in range(params.vertex_count))
             s = equitable_check(p)
+            brute = _fast_two_quotient(nbrs, cell, params.vertex_count)
             if isinstance(s, QuotientMatrix):
+                assert brute == (*s.rows[0], *s.rows[1])
                 lam = s.rows[0][0] - s.rows[1][0]
                 assert spectral_check(p, lam) is None
                 for other in spectrum:
                     if other != lam:
                         assert spectral_check(p, other) is not None
             else:
+                assert brute is None
+                u, v = s.vertices
+                assert p.contains(u) == p.contains(v) == (s.cell == 0)
+                assert s.counts == tuple(sum(map(p.contains, nbrs[x])) for x in (u, v))
                 for lam in spectrum:
                     assert spectral_check(p, lam) is not None
 
@@ -184,23 +190,6 @@ def test_spectral_check_matches_equitable_check():
 def test_spectral_check_witness_order():
     p = TwoPartition.from_vertices(H22, [0])
     assert spectral_check(p, 0) == (0, 1)
-
-
-def test_distance_partition_check():
-    s = distance_partition_check(H32, [0])
-    assert s == QuotientMatrix(((0, 3, 0, 0), (1, 0, 2, 0), (0, 2, 0, 1), (0, 0, 3, 0)))
-    s = distance_partition_check(H32, [0, 7])
-    assert s == QuotientMatrix(((0, 3), (1, 2)))
-    r = distance_partition_check(H32, [0, 1, 3])
-    assert isinstance(r, NotCompletelyRegular)
-    assert r.witness.vertices == (0, 1)
-    assert r.witness.counts == (1, 2)
-    with pytest.raises(ValueError):
-        distance_partition_check(H32, [])
-    with pytest.raises(ValueError):
-        distance_partition_check(H32, [8])
-    with pytest.raises(ValueError):
-        distance_partition_check(H32, list(range(8)))
 
 
 def test_transform_preserves_quotient():

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from eqpart import search
 from eqpart.constructions import AlphabetBlocks, eight_cycle_partition, lifted_cycle_pair
 from eqpart.hamming import GraphParams, random_automorphism
 from eqpart.partitions import (
@@ -95,6 +96,41 @@ def test_backtracking_threads_do_not_change_output():
     single = [p.cell for p in backtracking_enumerate(H32, c, threads=1)]
     double = [p.cell for p in backtracking_enumerate(H32, c, threads=2)]
     assert single == double
+
+
+def test_worker_processes_are_capped(monkeypatch):
+    """One pool per call, with at most min(threads, CPU count, shard count)
+    workers; the recording fake pool runs the shards in this process."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+    c = EnumConstraints(eigenvalue_index=2)
+    expected = [p.cell for p in backtracking_enumerate(H42, c)]
+    assert pools == []
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    # three candidate quotient matrices share one pool of 3 workers
+    assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
+    assert pools == [3]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 1000)
+    # H(2, 2) has one candidate matrix and 2^4 shards
+    assert [p.cell for p in backtracking_enumerate(H22, c, threads=100000)] == [6, 9]
+    assert pools == [3, 16]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    backtracking_enumerate(H22, c, threads=100000)
+    assert pools == [3, 16]
 
 
 def test_reduced_only_filter():
