@@ -166,9 +166,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "expected": str(mismatch.expected),
             }
     cert["orthogonal_array"] = oa
+    # An induced cycle is 2-regular; the quotient diagonal says whether a cell is.
     cert["induced_cycle_lengths"] = {
-        "cell": is_induced_cycle(params, p.vertices()),
-        "complement": is_induced_cycle(params, p.complement().vertices()),
+        "cell": is_induced_cycle(params, p.vertices()) if s.rows[0][0] == 2 else None,
+        "complement": (
+            is_induced_cycle(params, p.complement().vertices()) if s.rows[1][1] == 2 else None
+        ),
     }
     _print_json(cert)
     return 0

@@ -22,7 +22,7 @@ from .partitions import TwoPartition
 
 FORMAT_VERSION = 1
 
-_HEX = "0123456789abcdef"
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class DocumentError(ValueError):
@@ -32,7 +32,7 @@ class DocumentError(ValueError):
 def cell_to_hex(cell: int, bit_length: int) -> str:
     if cell >> bit_length:
         raise ValueError("cell bitset has bits beyond the stated length")
-    return "".join(_HEX[(cell >> (4 * d)) & 0xF] for d in range((bit_length + 3) // 4))
+    return format(cell, f"0{(bit_length + 3) // 4}x")[::-1]
 
 
 def hex_to_cell(text: str, bit_length: int) -> int:
@@ -41,13 +41,11 @@ def hex_to_cell(text: str, bit_length: int) -> int:
         raise DocumentError(
             f"cell hex must have exactly {expected} characters, got {len(text)}"
         )
-    cell = 0
-    for d, ch in enumerate(text):
-        try:
-            nibble = _HEX.index(ch.lower())
-        except ValueError:
-            raise DocumentError(f"invalid hex character {ch!r} in cell") from None
-        cell |= nibble << (4 * d)
+    # int() would also take whitespace, "_", "0x", a sign and non-ASCII digits
+    if not _HEX_DIGITS.issuperset(text):
+        ch = next(ch for ch in text if ch not in _HEX_DIGITS)
+        raise DocumentError(f"invalid hex character {ch!r} in cell")
+    cell = int(text[::-1], 16)
     if cell >> bit_length:
         raise DocumentError("cell hex sets bits beyond q^n")
     return cell

@@ -117,6 +117,27 @@ def neighbor_table(params: GraphParams) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=4)
+def digit_masks(params: GraphParams) -> tuple[tuple[int, ...], ...]:
+    """Vertex bitsets of the fibers {x : x_k = a}, at [k - 1][a].
+
+    In coordinate k with stride s = q^(n-k), the fiber of symbol 0 is a
+    run of s ones repeated with period q*s: the run times the repunit of
+    that period.  The fiber of symbol a is that bitset shifted by a*s.
+    """
+    q, n_bits = params.q, params.vertex_count
+    out = []
+    for k in range(1, params.n + 1):
+        s = q ** (params.n - k)
+        repunit, width = 1, q * s
+        while width < n_bits:
+            repunit |= repunit << width
+            width *= 2
+        zero = ((1 << s) - 1) * (repunit & ((1 << n_bits) - 1))
+        out.append(tuple(zero << (a * s) for a in range(q)))
+    return tuple(out)
+
+
 def line_cliques(params: GraphParams, k: int) -> Iterator[tuple[int, ...]]:
     """The q^(n-1) maximal cliques in direction k.
 
@@ -199,8 +220,22 @@ def apply_automorphism(params: GraphParams, g: Automorphism, v: int) -> int:
 
 
 def vertex_map(params: GraphParams, g: Automorphism) -> tuple[int, ...]:
-    """The full vertex permutation induced by g, as a lookup tuple."""
-    return tuple(apply_automorphism(params, g, v) for v in range(params.vertex_count))
+    """The full vertex permutation induced by g, as a lookup tuple.
+
+    Equal to apply_automorphism at every vertex.  The image index is a sum
+    of one term per source coordinate, so the table grows one source
+    coordinate at a time, most significant first.
+    """
+    n, q = params.n, params.q
+    if len(g.coord_perm) != n or len(g.alpha_perms[0]) != q:
+        raise ValueError("automorphism shape does not match the graph")
+    table = [0]
+    for j in range(1, n + 1):
+        k = g.coord_perm.index(j) + 1  # the target coordinate fed by source j
+        stride = q ** (n - k)
+        terms = [a * stride for a in g.alpha_perms[k - 1]]
+        table = [w + t for w in table for t in terms]
+    return tuple(table)
 
 
 def compose(g: Automorphism, h: Automorphism) -> Automorphism:

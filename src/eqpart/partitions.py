@@ -12,16 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .hamming import (
     Automorphism,
     GraphParams,
+    decode_vertex,
+    digit_masks,
     eigenvalue,
     encode_vertex,
-    decode_vertex,
-    essential_coordinates_of_values,
-    neighbor_table,
     vertex_map,
 )
 
@@ -129,31 +128,68 @@ class TwoPartition:
         return TwoPartition(self.params, self.complement_bits())
 
 
+def _neighbor_indicators(p: TwoPartition, last_offset: int) -> Iterator[tuple[int, int]]:
+    """(k, bitset of the vertices x whose neighbor x + t*e_k lies in C).
+
+    Symbols add mod q; coordinates k run ascending and, within each, the
+    offsets t = 1..last_offset.  Each bitset is two masked shifts of the
+    whole cell: by t*s down where x_k < q - t, and by (q - t)*s up where
+    x_k >= q - t, with s = q^(n-k).
+    """
+    params = p.params
+    q, cell = params.q, p.cell
+    full = (1 << params.vertex_count) - 1
+    for k, fibers in enumerate(digit_masks(params), 1):
+        s = q ** (params.n - k)
+        high = 0
+        for t in range(1, last_offset + 1):
+            high |= fibers[q - t]
+            yield k, ((cell >> t * s) & (full ^ high)) | ((cell << (q - t) * s) & high)
+
+
+def _neighbor_count_planes(p: TwoPartition) -> list[int]:
+    """Neighbors in C of every vertex, bit-sliced: bit v of planes[j] is
+    bit j of the count at v.  The n(q-1) neighbor indicators are summed
+    into the planes with a ripple carry."""
+    planes = [0] * p.params.degree.bit_length()
+    for _, carry in _neighbor_indicators(p, p.params.q - 1):
+        j = 0
+        while carry:
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    return planes
+
+
+def _count_at(planes: list[int], v: int) -> int:
+    return sum(((plane >> v) & 1) << j for j, plane in enumerate(planes))
+
+
 def equitable_check(p: TwoPartition) -> QuotientMatrix | NotEquitable:
     """Quotient matrix of p, or the first witness that none exists.
 
-    Vertices are scanned in index order; the reference count of a cell is
-    that of its first vertex, and the witness pairs it with the first
-    vertex whose number of neighbors in C differs.
+    The reference count of a cell is that of its lowest vertex, and the
+    witness pairs it with the lowest vertex, over both cells, whose number
+    of neighbors in C differs.  p is equitable iff every bit plane of the
+    neighbor counts is constant on C and constant on the complement.
     """
-    inside = p.indicator()
-    ref: list[int | None] = [None, None]
-    ref_vertex = [0, 0]
-    for v, nbrs in enumerate(neighbor_table(p.params)):
-        count = 0
-        for w in nbrs:
-            count += inside[w]
-        c = 1 - inside[v]
-        if ref[c] is None:
-            ref[c] = count
-            ref_vertex[c] = v
-        elif count != ref[c]:
-            return NotEquitable(
-                cell=c,
-                vertices=(ref_vertex[c], v),
-                target_cell=0,
-                counts=(ref[c], count),
-            )
+    planes = _neighbor_count_planes(p)
+    cells = (p.cell, p.complement_bits())
+    firsts = [(c & -c).bit_length() - 1 for c in cells]
+    mismatch = 0
+    for plane in planes:
+        # the plane made constant on each cell, at the bit of its lowest vertex
+        flat = sum(c for c, u in zip(cells, firsts) if (plane >> u) & 1)
+        mismatch |= plane ^ flat
+    ref = [_count_at(planes, u) for u in firsts]
+    if mismatch:
+        v = (mismatch & -mismatch).bit_length() - 1
+        c = 0 if p.contains(v) else 1
+        return NotEquitable(
+            cell=c,
+            vertices=(firsts[c], v),
+            target_cell=0,
+            counts=(ref[c], _count_at(planes, v)),
+        )
     degree = p.params.degree
     return QuotientMatrix(tuple((k, degree - k) for k in ref))
 
@@ -207,20 +243,21 @@ def orthogonal_array_check(p: TwoPartition, s: QuotientMatrix) -> FiberMismatch 
             f"fiber size law needs second eigenvalue {eigenvalue(params, 2)}, got {lam}"
         )
     expected = Fraction(s.rows[1][0] * params.q ** (params.n - 2), 2)
-    counts = [[0] * params.q for _ in range(params.n)]
-    for v in p.vertices():
-        for k, x in enumerate(decode_vertex(params, v)):
-            counts[k][x] += 1
-    for k in range(params.n):
-        for a in range(params.q):
-            if counts[k][a] != expected:
-                return FiberMismatch(k + 1, a, counts[k][a], expected)
+    for k, fibers in enumerate(digit_masks(params), 1):
+        for a, fiber in enumerate(fibers):
+            count = (p.cell & fiber).bit_count()
+            if count != expected:
+                return FiberMismatch(k, a, count, expected)
     return None
 
 
 def essential_coordinates(p: TwoPartition) -> frozenset[int]:
-    """Coordinates along which some adjacent pair changes cell."""
-    return essential_coordinates_of_values(p.params, p.indicator())
+    """Coordinates along which some adjacent pair changes cell.
+
+    C is constant on the lines in direction k iff shifting x_k by one
+    maps C onto itself.
+    """
+    return frozenset(k for k, shifted in _neighbor_indicators(p, 1) if shifted != p.cell)
 
 
 def reduce(p: TwoPartition) -> tuple[TwoPartition, tuple[int, ...]]:
@@ -304,8 +341,9 @@ def spectral_check(p: TwoPartition, lam: int) -> tuple[int, int] | None:
 
 def transform(p: TwoPartition, g: Automorphism) -> TwoPartition:
     """The image partition (g(C), g(C) complement)."""
-    vm = vertex_map(p.params, g)
-    bits = 0
-    for v in p.vertices():
-        bits |= 1 << vm[v]
-    return TwoPartition(p.params, bits)
+    n_bits = p.params.vertex_count
+    # binary digits of the image cell, vertex q^n - 1 first
+    digits = bytearray(b"0") * n_bits
+    for w in compress(vertex_map(p.params, g), p.indicator()):
+        digits[n_bits - 1 - w] = ord("1")
+    return TwoPartition(p.params, int(digits, 2))

@@ -49,6 +49,9 @@ from .partitions import (
 )
 
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
+# Vertex-count bound for the backtracking search: it recurses once per
+# vertex, so its depth is q^n, and Python's default limit is 1,000 frames.
+BACKTRACK_LIMIT = 512
 TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
 CANONICAL_N_LIMIT = 5
 CANONICAL_Q_LIMIT = 5
@@ -242,8 +245,13 @@ def backtracking_enumerate(
     thread count.  Output is sorted by cell bitset and agrees with
     brute_force_enumerate wherever both are allowed to run.  All shards
     share one pool of min(threads, os.cpu_count(), shard count) worker
-    processes; with one worker they run in this process.
+    processes; with one worker they run in this process.  Guarded to
+    q^n <= 512.
     """
+    if params.vertex_count > BACKTRACK_LIMIT:
+        raise ValueError(
+            f"backtracking search guarded to q^n <= {BACKTRACK_LIMIT}, got {params.vertex_count}"
+        )
     candidates = candidate_quotient_matrices(params, constraints)
     depth = min(params.vertex_count, _SHARD_DEPTH)
     shards = []
@@ -440,8 +448,10 @@ ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Un
 
 @lru_cache(maxsize=1)
 def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
-    """All 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
-    in ascending cell-bitset order."""
+    """All 24 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
+    in lexicographic order of their ascending vertex tuples (not in cell
+    bitset order).  classify-t5 reports the first pair that matches, so
+    this order is part of its output."""
     params = GraphParams(4, 2)
     out = []
     for combo in itertools.combinations(range(16), 8):

@@ -9,6 +9,8 @@ import pytest
 from eqpart.cli import run_command
 from eqpart.constructions import eight_cycle_partition
 from eqpart.documents import partition_to_doc
+from eqpart.hamming import neighbor_table
+from eqpart.partitions import extend
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -42,6 +44,29 @@ def test_verify_pass(tmp_path):
     assert cert["orthogonal_array"] == {"applicable": True, "balanced": True}
     assert cert["induced_cycle_lengths"] == {"cell": 8, "complement": 8}
     assert cert["size"] == 8
+
+
+def test_verify_builds_no_neighbor_table(tmp_path):
+    """The certificate of the 8-cycle pair extended to H(16, 2) comes from
+    the bitset kernel alone: no 65,536-row neighbor table is built."""
+    pair = extend(eight_cycle_partition(), 12)
+    neighbor_table.cache_clear()
+    code, out, err = run(["verify", write_doc(tmp_path, "p.json", partition_to_doc(pair))])
+    assert code == 0 and err == ""
+    assert json.loads(out) == {
+        "partition": partition_to_doc(pair),
+        "size": 32768,
+        "equitable": True,
+        "quotient": [[14, 2], [2, 14]],
+        "eigenvalues": [16, 12],
+        "eigenvalue_index": 2,
+        "spectral_check": True,
+        "essential_coordinates": [1, 2, 3, 4],
+        "reduced": False,
+        "orthogonal_array": {"applicable": True, "balanced": True},
+        "induced_cycle_lengths": {"cell": None, "complement": None},
+    }
+    assert neighbor_table.cache_info().currsize == 0
 
 
 def test_verify_from_stdin(monkeypatch):
@@ -283,6 +308,9 @@ def test_sweep_ternary():
     ["enumerate", "--n", "2", "--q", "4294967297", "--eig-index", "2"],
     ["sweep-ternary", "--n", "25", "--q", "2"],
     ["sweep-ternary", "--n", "32", "--q", "2"],
+    ["enumerate", "--n", "10", "--q", "2", "--eig-index", "2"],
+    ["enumerate", "--n", "4", "--q", "6", "--eig-index", "2"],
+    ["enumerate", "--n", "16", "--q", "2", "--eig-index", "2"],
 ])
 def test_huge_graphs_are_refused_at_once(argv):
     start = time.perf_counter()

@@ -41,6 +41,10 @@ def test_cell_hex_rejects():
         hex_to_cell("e427", 9)
     with pytest.raises(DocumentError, match="invalid hex"):
         hex_to_cell("e42x", 16)
+    # int() would take each of these; the cell format does not
+    for text, bad in ((" e42", " "), ("e_27", "_"), ("0xe4", "x")):
+        with pytest.raises(DocumentError, match=f"invalid hex character '{bad}'"):
+            hex_to_cell(text, 16)
     with pytest.raises(DocumentError, match="beyond"):
         hex_to_cell("4", 2)
     with pytest.raises(ValueError):

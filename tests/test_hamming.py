@@ -12,6 +12,7 @@ from eqpart.hamming import (
     coordinate_stride,
     coordinate_value,
     decode_vertex,
+    digit_masks,
     eigenvalue,
     encode_vertex,
     essential_coordinates_of_values,
@@ -103,6 +104,19 @@ def test_neighbor_symmetry():
                 assert v in table[w]
 
 
+def test_digit_masks_are_the_fibers():
+    for params in PARAMS + [GraphParams(1, 5), GraphParams(5, 2), GraphParams(3, 4)]:
+        masks = digit_masks(params)
+        assert len(masks) == params.n
+        for k, fibers in enumerate(masks):
+            assert len(fibers) == params.q
+            for a, fiber in enumerate(fibers):
+                assert fiber == sum(
+                    1 << v for v in range(params.vertex_count)
+                    if decode_vertex(params, v)[k] == a
+                )
+
+
 def test_line_cliques_cover_all_edges():
     for params in PARAMS:
         seen = set()
@@ -166,6 +180,7 @@ def test_automorphism_preserves_adjacency():
         for _ in range(10):
             g = random_automorphism(params, rng)
             vm = vertex_map(params, g)
+            assert vm == tuple(apply_automorphism(params, g, v) for v in range(params.vertex_count))
             assert sorted(vm) == list(range(params.vertex_count))
             for v in range(params.vertex_count):
                 assert sorted(vm[w] for w in table[v]) == sorted(table[vm[v]])

@@ -5,8 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from eqpart.constructions import eight_cycle_partition
-from eqpart.hamming import GraphParams, eigenvalue, neighbor_table, random_automorphism
+from eqpart.constructions import eight_cycle_partition, lifted_cycle_pair
+from eqpart.hamming import (
+    GraphParams,
+    apply_automorphism,
+    decode_vertex,
+    eigenvalue,
+    essential_coordinates_of_values,
+    neighbor_table,
+    neighbors,
+    random_automorphism,
+)
 from eqpart.partitions import (
     FiberMismatch,
     NotEquitable,
@@ -23,7 +32,7 @@ from eqpart.partitions import (
     spectral_check,
     transform,
 )
-from eqpart.search import _fast_two_quotient
+from eqpart.search import EnumConstraints, _fast_two_quotient, backtracking_enumerate
 
 H22 = GraphParams(2, 2)
 H32 = GraphParams(3, 2)
@@ -157,19 +166,34 @@ def test_reduce_middle_coordinate():
     assert reduced == TwoPartition.from_tuples(H22, [(0, 0), (1, 1)])
 
 
+def _recount_check(p, counts):
+    """equitable_check the slow way: vertices in index order, each count
+    against that of the lowest vertex of its cell."""
+    ref, first = [None, None], [0, 0]
+    for v, count in enumerate(counts):
+        c = 0 if p.contains(v) else 1
+        if ref[c] is None:
+            ref[c], first[c] = count, v
+        elif count != ref[c]:
+            return NotEquitable(cell=c, vertices=(first[c], v), target_cell=0, counts=(ref[c], count))
+    return QuotientMatrix(tuple((k, p.params.degree - k) for k in ref))
+
+
 def test_spectral_check_matches_equitable_check():
     """The equitability routes must agree on every cell of small graphs:
-    equitable_check, the brute-force counter and spectral_check at every
-    eigenvalue, with the cell read through indicator() as through contains()."""
-    for params in (H22, H32, GraphParams(2, 3), GraphParams(2, 4)):
+    equitable_check against a vertex-by-vertex recount and the brute-force
+    counter, spectral_check at every eigenvalue, with the cell read through
+    indicator() as through contains()."""
+    for params in (GraphParams(1, 5), H22, H32, GraphParams(2, 3), GraphParams(2, 4),
+                   GraphParams(4, 2)):
         nbrs = neighbor_table(params)
         spectrum = [eigenvalue(params, i) for i in range(params.n + 1)]
         for cell in range(1, (1 << params.vertex_count) - 1):
             p = TwoPartition(params, cell)
             inside = p.indicator()
-            assert len(inside) == params.vertex_count
-            assert all(inside[v] == p.contains(v) for v in range(params.vertex_count))
+            assert inside == bytes(map(p.contains, range(params.vertex_count)))
             s = equitable_check(p)
+            assert s == _recount_check(p, [sum(map(inside.__getitem__, ws)) for ws in nbrs])
             brute = _fast_two_quotient(nbrs, cell, params.vertex_count)
             if isinstance(s, QuotientMatrix):
                 assert brute == (*s.rows[0], *s.rows[1])
@@ -180,11 +204,52 @@ def test_spectral_check_matches_equitable_check():
                         assert spectral_check(p, other) is not None
             else:
                 assert brute is None
-                u, v = s.vertices
-                assert p.contains(u) == p.contains(v) == (s.cell == 0)
-                assert s.counts == tuple(sum(map(p.contains, nbrs[x])) for x in (u, v))
                 for lam in spectrum:
                     assert spectral_check(p, lam) is not None
+
+
+def _kernel_inputs():
+    """Equitable partitions up to H(16, 2), each with a one-bit-flipped
+    copy, paired with the equitable one's quotient matrix."""
+    rng = random.Random(3)
+    pair = eight_cycle_partition()
+    bases = [PAIR, extend(PAIR, 3), pair, extend(pair, 4), extend(pair, 12),
+             lifted_cycle_pair(4, (1, 2)), lifted_cycle_pair(6, (0, 2, 5)),
+             TwoPartition.from_vertices(GraphParams(1, 5), [3])]
+    bases += rng.sample(backtracking_enumerate(GraphParams(3, 3), EnumConstraints(eigenvalue_index=1)), 3)
+    bases += [transform(p, random_automorphism(p.params, rng))
+              for p in (extend(PAIR, 3), extend(pair, 4), extend(pair, 8), *bases[5:7])]
+    for p in bases:
+        s = equitable_check(p)
+        yield p, s
+        flipped = p.cell ^ (1 << rng.randrange(p.params.vertex_count))
+        if 0 < flipped < (1 << p.params.vertex_count) - 1:
+            yield TwoPartition(p.params, flipped), s
+
+
+def test_bitset_kernel_matches_vertex_recount():
+    """Quotient or witness, essential coordinates and fiber counts of the
+    bitset kernel against recounts one vertex at a time."""
+    checked = 0
+    for p, s in _kernel_inputs():
+        params = p.params
+        inside = p.indicator()
+        counts = [sum(inside[w] for _, w in neighbors(params, v)) for v in range(params.vertex_count)]
+        assert equitable_check(p) == _recount_check(p, counts)
+        assert essential_coordinates(p) == essential_coordinates_of_values(params, inside)
+        if params.n < 2 or s.rows[0][0] - s.rows[1][0] != eigenvalue(params, 2):
+            continue
+        # the first fiber off the size that the lambda_2 quotient s fixes
+        fibers = [[0] * params.q for _ in range(params.n)]
+        for v in p.vertices():
+            for k, x in enumerate(decode_vertex(params, v)):
+                fibers[k][x] += 1
+        expected = Fraction(s.rows[1][0] * params.q ** (params.n - 2), 2)
+        off = [FiberMismatch(k + 1, a, fibers[k][a], expected)
+               for k in range(params.n) for a in range(params.q) if fibers[k][a] != expected]
+        assert orthogonal_array_check(p, s) == (off[0] if off else None)
+        checked += 1
+    assert checked == 24
 
 
 def test_spectral_check_witness_order():
@@ -201,3 +266,10 @@ def test_transform_preserves_quotient():
             image = transform(p, g)
             assert image.size == p.size
             assert equitable_check(image) == s
+    # the image cell, rebuilt one vertex at a time, on random cells
+    for params in (GraphParams(3, 3), GraphParams(4, 2), GraphParams(2, 4)):
+        for _ in range(25):
+            p = TwoPartition(params, rng.randrange(1, (1 << params.vertex_count) - 1))
+            g = random_automorphism(params, rng)
+            rebuilt = sum(1 << apply_automorphism(params, g, v) for v in p.vertices())
+            assert transform(p, g).cell == rebuilt

@@ -7,6 +7,7 @@ import pytest
 
 from eqpart import search
 from eqpart.constructions import AlphabetBlocks, eight_cycle_partition, lifted_cycle_pair
+from eqpart.documents import cell_to_hex
 from eqpart.hamming import GraphParams, random_automorphism
 from eqpart.partitions import (
     QuotientMatrix,
@@ -256,3 +257,20 @@ def test_classify_never_warns_on_reduced_h42():
         warnings.simplefilter("error")
         tags = [classify_reduced_lambda2(p) for p in reduced]
     assert all(isinstance(t, CyclePairLifting) for t in tags)
+
+
+def test_cycle_pairs_h42_order():
+    """The 24 induced-8-cycle pairs come in lexicographic order of their
+    vertex tuples, which is not cell bitset order; classify-t5 prints the
+    first match, so this order reaches stdout."""
+    pairs = search._cycle_pairs_h42()
+    assert len(pairs) == 24
+    words = [tuple(p.vertices()) for p in pairs]
+    assert words == sorted(words)
+    cells = [p.cell for p in pairs]
+    assert cells != sorted(cells)
+    assert [cell_to_hex(c, 16) for c in cells] == [
+        "724e", "742e", "b18d", "b81d", "35ac", "3a5c", "d18b", "d81b",
+        "53ca", "5c3a", "1bd8", "1db8", "e247", "e427", "a3c5", "ac35",
+        "27e4", "2e74", "c5a3", "ca53", "47e2", "4e72", "8bd1", "8db1",
+    ]
