@@ -11,6 +11,7 @@ and the quasi-crosses (supported on two).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Union
 
 from .hamming import (
@@ -60,12 +61,17 @@ def adjacency_image(f: VertexFunction) -> tuple[int, ...]:
     params = f.params
     vals = f.values
     out = [0] * params.vertex_count
-    for k in range(1, params.n + 1):
-        for line in line_cliques(params, k):
-            total = sum(vals[v] for v in line)
-            for v in line:
-                out[v] += total - vals[v]
+    for line in _all_lines(params):
+        total = sum(vals[v] for v in line)
+        for v in line:
+            out[v] += total - vals[v]
     return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _all_lines(params: GraphParams) -> tuple[tuple[int, ...], ...]:
+    """The line cliques of every direction k = 1..n, in line_cliques order."""
+    return tuple(line for k in range(1, params.n + 1) for line in line_cliques(params, k))
 
 
 def is_eigenfunction(f: VertexFunction, lam: int) -> bool:

@@ -163,7 +163,7 @@ def brute_force_enumerate(
             continue
         out.append(p)
     if constraints.up_to_iso:
-        out = [p for p in out if p.cell == canonical_form(p)]
+        out = [p for p in out if _is_canonical(p)]
     return out
 
 
@@ -277,7 +277,7 @@ def backtracking_enumerate(
     if constraints.reduced_only:
         out = [p for p in out if len(essential_coordinates(p)) == params.n]
     if constraints.up_to_iso:
-        out = [p for p in out if p.cell == canonical_form(p)]
+        out = [p for p in out if _is_canonical(p)]
     return out
 
 
@@ -298,7 +298,60 @@ def _subslice(bits: int, m: int, pos: int, symbol: int, q: int) -> int:
     return out
 
 
-@lru_cache(maxsize=65536)
+def _least_image(p: TwoPartition, stop_below_cell: bool) -> int:
+    """The minimum cell bitset over all graph automorphisms of p, or, with
+    stop_below_cell, the first image found below p.cell if there is one.
+
+    Branch and bound over which source coordinate and symbol permutation
+    feed each target coordinate, most significant first.  The incumbent
+    starts at p.cell, the identity image; a node is cut when even packing
+    each block's members into its lowest positions cannot beat it.
+    """
+    params = p.params
+    if params.n > CANONICAL_N_LIMIT or params.q > CANONICAL_Q_LIMIT:
+        raise ValueError(
+            f"canonical form guarded to n <= {CANONICAL_N_LIMIT}, q <= {CANONICAL_Q_LIMIT}"
+        )
+    q = params.q
+    # target symbols q-1..0 take source symbols gamma[q-1]..gamma[0]
+    orders = tuple(perm[::-1] for perm in itertools.permutations(range(q)))
+    best = p.cell
+
+    def descend(slices: tuple[int, ...], m: int) -> bool:
+        """Lower best from this node; True once an early stop is due."""
+        nonlocal best
+        k = len(slices)
+        if m == 0:
+            val = 0
+            for i, b in enumerate(slices):
+                val |= b << (k - 1 - i)
+            if val < best:
+                best = val
+                return stop_below_cell
+            return False
+        length = q ** m
+        bound = 0
+        for i, s in enumerate(slices):
+            bound |= ((1 << s.bit_count()) - 1) << ((k - 1 - i) * length)
+        if bound >= best:
+            return False
+        seen = set()
+        for pos in range(m):
+            subs = [[_subslice(s, m, pos, a, q) for a in range(q)] for s in slices]
+            for order in orders:
+                child = tuple(sub[a] for sub in subs for a in order)
+                if child in seen:
+                    continue
+                seen.add(child)
+                if descend(child, m - 1):
+                    return True
+        return False
+
+    descend((p.cell,), params.n)
+    return best
+
+
+@lru_cache(maxsize=256)
 def canonical_form(p: TwoPartition) -> int:
     """The minimum cell bitset over all graph automorphisms of p.
 
@@ -307,49 +360,13 @@ def canonical_form(p: TwoPartition) -> int:
     when even packing each block's members into its lowest positions
     cannot beat the incumbent.  Guarded to n <= 5 and q <= 5.
     """
-    params = p.params
-    if params.n > CANONICAL_N_LIMIT or params.q > CANONICAL_Q_LIMIT:
-        raise ValueError(
-            f"canonical form guarded to n <= {CANONICAL_N_LIMIT}, q <= {CANONICAL_Q_LIMIT}"
-        )
-    q = params.q
-    perms = tuple(itertools.permutations(range(q)))
-    best: Optional[int] = None
+    return _least_image(p, False)
 
-    def descend(slices: tuple[int, ...], m: int) -> None:
-        nonlocal best
-        k = len(slices)
-        if m == 0:
-            val = 0
-            for i, b in enumerate(slices):
-                val |= b << (k - 1 - i)
-            if best is None or val < best:
-                best = val
-            return
-        length = q ** m
-        if best is not None:
-            bound = 0
-            for i, s in enumerate(slices):
-                pc = s.bit_count()
-                bound |= ((1 << pc) - 1) << ((k - 1 - i) * length)
-            if bound >= best:
-                return
-        seen = set()
-        for pos in range(m):
-            for gamma in perms:
-                new_slices = tuple(
-                    _subslice(s, m, pos, gamma[c], q)
-                    for s in slices
-                    for c in range(q - 1, -1, -1)
-                )
-                if new_slices in seen:
-                    continue
-                seen.add(new_slices)
-                descend(new_slices, m - 1)
 
-    descend((p.cell,), params.n)
-    assert best is not None
-    return best
+def _is_canonical(p: TwoPartition) -> bool:
+    """Whether p.cell is its own canonical form: the search stops at the
+    first smaller image.  Same guard as canonical_form."""
+    return _least_image(p, True) == p.cell
 
 
 def are_isomorphic(p1: TwoPartition, p2: TwoPartition) -> bool:
@@ -453,9 +470,16 @@ def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
     bitset order).  classify-t5 reports the first pair that matches, so
     this order is part of its output."""
     params = GraphParams(4, 2)
+    # the 4 neighbors of v differ from v in one bit
+    nbr_masks = [sum(1 << (v ^ (1 << i)) for i in range(4)) for v in range(16)]
     out = []
     for combo in itertools.combinations(range(16), 8):
-        p = TwoPartition.from_vertices(params, combo)
+        cell = sum(1 << v for v in combo)
+        # Both cells are 2-regular iff every vertex has 2 of its 4 neighbors
+        # in the cell: a cheap necessary condition for two induced 8-cycles.
+        if any((m & cell).bit_count() != 2 for m in nbr_masks):
+            continue
+        p = TwoPartition(params, cell)
         if is_induced_cycle(params, combo) != 8:
             continue
         if is_induced_cycle(params, TwoPartition(params, p.complement_bits()).vertices()) != 8:

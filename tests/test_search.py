@@ -1,14 +1,19 @@
 """Enumeration routes, canonical forms, censuses, and classification."""
 
+import io
+import itertools
+import json
 import random
 import warnings
+from math import comb
 
 import pytest
 
 from eqpart import search
+from eqpart.cli import run_command
 from eqpart.constructions import AlphabetBlocks, eight_cycle_partition, lifted_cycle_pair
-from eqpart.documents import cell_to_hex
-from eqpart.hamming import GraphParams, random_automorphism
+from eqpart.documents import cell_to_hex, hex_to_cell
+from eqpart.hamming import Automorphism, GraphParams, random_automorphism
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
@@ -169,6 +174,76 @@ def test_canonical_form_invariance():
             assert canonical_form(transform(p, g)) == cf
 
 
+def _group_minimum(p):
+    """min(transform(p, g).cell) over the whole automorphism group: every
+    coordinate permutation with every tuple of symbol permutations."""
+    n, q = p.params.n, p.params.q
+    return min(
+        transform(p, Automorphism(coord, alphas)).cell
+        for coord in itertools.permutations(range(1, n + 1))
+        for alphas in itertools.product(itertools.permutations(range(q)), repeat=n)
+    )
+
+
+def _assert_least_image(p):
+    cf = canonical_form(p)
+    assert cf == _group_minimum(p), p
+    assert search._is_canonical(p) == (p.cell == cf), p
+
+
+def test_canonical_form_is_group_minimum():
+    """Branch and bound agrees with a sweep over the whole group: on every
+    proper cell of three small graphs, and on seeded cells of two more."""
+    for params in (GraphParams(2, 3), H32, GraphParams(1, 5)):
+        for cell in range(1, (1 << params.vertex_count) - 1):
+            _assert_least_image(TwoPartition(params, cell))
+    rng = random.Random(4)
+    for params in (GraphParams(2, 4), H42):
+        for _ in range(200):
+            _assert_least_image(
+                TwoPartition(params, rng.randrange(1, (1 << params.vertex_count) - 1))
+            )
+
+
+def test_up_to_iso_h25_matches_orbit_union_find():
+    """The H(2, 5) index-2 classes, found without canonical_form: union-find
+    over the 4,320 partitions joined by generators of the automorphism
+    group (coordinate swap; a transposition and a 5-cycle per coordinate),
+    one representative per class, the least cell of its orbit."""
+    params = GraphParams(2, 5)
+    cells = [p.cell for p in backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2))]
+    assert len(cells) == 4320
+    ident, swap01, cycle = (0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)
+    gens = [Automorphism((2, 1), (ident, ident))] + [
+        Automorphism((1, 2), alphas)
+        for a in (swap01, cycle)
+        for alphas in ((a, ident), (ident, a))
+    ]
+    parent = {c: c for c in cells}
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for c in cells:
+        for g in gens:
+            a, b = root(c), root(transform(TwoPartition(params, c), g).cell)
+            parent[max(a, b)] = min(a, b)
+    reps = sorted({root(c) for c in cells})
+    assert reps == [1118480, 3256984, 3320472, 7595868, 7722844, 16510910]
+
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["enumerate", "--n", "2", "--q", "5", "--eig-index", "2", "--up-to-iso"]
+    assert run_command(argv, stdout=out, stderr=err) == 0
+    assert err.getvalue() == ""
+    *docs, summary = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [hex_to_cell(d["cell"], 25) for d in docs] == reps
+    assert summary["count"] == 6
+    assert [x["count"] for x in summary["quotients"]] == [1, 2, 2, 1]
+
+
 def test_canonical_form_idempotent():
     p = eight_cycle_partition()
     rep = TwoPartition(p.params, canonical_form(p))
@@ -203,6 +278,12 @@ def test_ternary_census_counts():
     c = enumerate_ternary_census(H32)
     assert (c.constants, c.quasi_strings, c.quasi_crosses) == (3, 18, 12)
     assert c.members == 33 and c.total == 3 ** 8
+    for n, q in ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)):
+        c = enumerate_ternary_census(GraphParams(n, q))
+        assert (c.constants, c.quasi_strings, c.quasi_crosses) == (
+            3, n * (3 ** q - 3), comb(n, 2) * (2 ** q - 2) ** 2
+        ), (n, q)
+        assert c.total == 3 ** (q ** n)
 
 
 def test_ternary_census_guard():
