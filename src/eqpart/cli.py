@@ -27,24 +27,14 @@ from .constructions import (
 )
 from .documents import (
     DocumentError,
-    blocks_to_text,
     function_from_doc,
     load_json,
     parse_blocks,
     partition_from_doc,
-    partition_to_doc,
+    tagged,
+    to_json,
 )
-from .eigenfunctions import (
-    AllZero,
-    Constant,
-    NotEigen,
-    NotMember,
-    QuasiCross,
-    QuasiString,
-    classify_lambda1,
-    classify_top_two,
-    in_top_two_eigenspaces,
-)
+from .eigenfunctions import classify_lambda1, classify_top_two, in_top_two_eigenspaces
 from .hamming import GraphParams, eigenvalue
 from .partitions import (
     NotEquitable,
@@ -59,9 +49,6 @@ from .partitions import (
 )
 from .search import (
     EnumConstraints,
-    CyclePairLifting,
-    SmallBase,
-    SwitchingConstruction,
     Unclassified,
     backtracking_enumerate,
     brute_force_enumerate,
@@ -82,75 +69,39 @@ def _read_doc(path: str) -> Any:
     return load_json(text)
 
 
-def _second_index(s: QuotientMatrix, params: GraphParams) -> int:
-    indices = quotient_eigenvalue_indices(s, params)
-    return max(indices)
-
-
 def _construction_result(p: TwoPartition) -> dict[str, Any]:
     s = equitable_check(p)
     assert isinstance(s, QuotientMatrix)
     return {
-        "partition": partition_to_doc(p),
-        "quotient": [list(row) for row in s.rows],
-        "eigenvalue_index": _second_index(s, p.params),
-        "essential_coordinates": sorted(essential_coordinates(p)),
+        "partition": to_json(p),
+        "quotient": to_json(s.rows),
+        "eigenvalue_index": max(quotient_eigenvalue_indices(s, p.params)),
+        "essential_coordinates": to_json(essential_coordinates(p)),
     }
-
-
-def _form_doc(form: Any) -> dict[str, Any]:
-    if isinstance(form, Constant):
-        return {"kind": "constant", "value": form.value}
-    if isinstance(form, QuasiString):
-        return {
-            "kind": "quasi_string",
-            "plus": sorted(form.plus),
-            "minus": sorted(form.minus),
-            "coordinate": form.coordinate,
-        }
-    if isinstance(form, QuasiCross):
-        return {
-            "kind": "quasi_cross",
-            "plus": sorted(form.plus),
-            "minus": sorted(form.minus),
-            "coordinate_i": form.coordinate_i,
-            "coordinate_j": form.coordinate_j,
-        }
-    if isinstance(form, NotMember):
-        return {"kind": "not_member"}
-    if isinstance(form, AllZero):
-        return {"kind": "all_zero"}
-    assert isinstance(form, NotEigen)
-    return {"kind": "not_eigen"}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     p = partition_from_doc(_read_doc(args.input))
     params = p.params
     cert: dict[str, Any] = {
-        "partition": partition_to_doc(p),
+        "partition": to_json(p),
         "size": p.size,
     }
     s = equitable_check(p)
     if isinstance(s, NotEquitable):
         cert["equitable"] = False
-        cert["witness"] = {
-            "cell": s.cell,
-            "vertices": list(s.vertices),
-            "target_cell": s.target_cell,
-            "counts": list(s.counts),
-        }
+        cert["witness"] = to_json(s)
         _print_json(cert)
         return 1
     lam = s.rows[0][0] - s.rows[1][0]
     if spectral_check(p, lam) is not None:
         raise AssertionError("equitability checks disagree")
     cert["equitable"] = True
-    cert["quotient"] = [list(row) for row in s.rows]
+    cert["quotient"] = to_json(s.rows)
     cert["eigenvalues"] = [params.degree, lam]
-    cert["eigenvalue_index"] = _second_index(s, params)
+    cert["eigenvalue_index"] = max(quotient_eigenvalue_indices(s, params))
     cert["spectral_check"] = True
-    ess = sorted(essential_coordinates(p))
+    ess = to_json(essential_coordinates(p))
     cert["essential_coordinates"] = ess
     cert["reduced"] = len(ess) == params.n
     applicable = params.n >= 2 and lam == eigenvalue(params, 2)
@@ -159,12 +110,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         mismatch = orthogonal_array_check(p, s)
         oa["balanced"] = mismatch is None
         if mismatch is not None:
-            oa["mismatch"] = {
-                "coordinate": mismatch.coordinate,
-                "symbol": mismatch.symbol,
-                "count": mismatch.count,
-                "expected": str(mismatch.expected),
-            }
+            oa["mismatch"] = to_json(mismatch)
     cert["orthogonal_array"] = oa
     # An induced cycle is 2-regular; the quotient diagonal says whether a cell is.
     cert["induced_cycle_lengths"] = {
@@ -189,7 +135,7 @@ def _cmd_construct_a(args: argparse.Namespace) -> int:
         _print_json({"error": str(exc)})
         return 1
     result = _construction_result(switched)
-    result["blocks"] = blocks_to_text(blocks.blocks)
+    result["blocks"] = to_json(blocks)
     _print_json(result)
     return 0
 
@@ -213,7 +159,7 @@ def _cmd_construct_b(args: argparse.Namespace) -> int:
         _print_json({"error": str(exc)})
         return 1
     result = _construction_result(lifted)
-    result["split"] = sorted(split)
+    result["split"] = to_json(split)
     _print_json(result)
     return 0
 
@@ -230,7 +176,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         _print_json({"error": str(exc)})
         return 1
     result = _construction_result(lifted)
-    result["blocks"] = blocks_to_text(blocks.blocks)
+    result["blocks"] = to_json(blocks)
     _print_json(result)
     return 0
 
@@ -246,8 +192,8 @@ def _cmd_classify_fn(args: argparse.Namespace) -> int:
         raise DocumentError("classification applies to ternary functions only")
     return_doc = {
         "member": in_top_two_eigenspaces(f),
-        "top_two_form": _form_doc(classify_top_two(f)),
-        "lambda1_form": _form_doc(classify_lambda1(f)),
+        "top_two_form": tagged(classify_top_two(f)),
+        "lambda1_form": tagged(classify_lambda1(f)),
     }
     _print_json(return_doc)
     return 0
@@ -257,8 +203,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     p = partition_from_doc(_read_doc(args.input))
     reduced, removed = reduce_partition(p)
     _print_json({
-        "partition": partition_to_doc(reduced),
-        "removed_coordinates": list(removed),
+        "partition": to_json(reduced),
+        "removed_coordinates": to_json(removed),
     })
     return 0
 
@@ -303,37 +249,18 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise DocumentError(str(exc)) from None
     by_quotient: dict[tuple[tuple[int, ...], ...], int] = {}
     for p in found:
-        _print_json(partition_to_doc(p))
+        _print_json(to_json(p))
         s = equitable_check(p)
         assert isinstance(s, QuotientMatrix)
         by_quotient[s.rows] = by_quotient.get(s.rows, 0) + 1
     _print_json({
         "count": len(found),
         "quotients": [
-            {"matrix": [list(r) for r in rows], "count": cnt}
+            {"matrix": to_json(rows), "count": cnt}
             for rows, cnt in sorted(by_quotient.items())
         ],
     })
     return 0
-
-
-def _tag_doc(tag: Any) -> dict[str, Any]:
-    if isinstance(tag, SmallBase):
-        return {"kind": "small_base", "secondary_switching": tag.secondary_switching}
-    if isinstance(tag, CyclePairLifting):
-        return {
-            "kind": "cycle_pair_lifting",
-            "split": sorted(tag.split),
-            "cycle_pair": partition_to_doc(tag.cycle_pair),
-        }
-    if isinstance(tag, SwitchingConstruction):
-        return {
-            "kind": "switching_construction",
-            "blocks": blocks_to_text(tag.blocks.blocks),
-            "base": partition_to_doc(tag.base),
-        }
-    assert isinstance(tag, Unclassified)
-    return {"kind": "unclassified"}
 
 
 def _cmd_classify_t5(args: argparse.Namespace) -> int:
@@ -343,7 +270,7 @@ def _cmd_classify_t5(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _print_json({"error": str(exc)})
         return 1
-    _print_json({"tag": _tag_doc(tag)})
+    _print_json({"tag": tagged(tag)})
     return 1 if isinstance(tag, Unclassified) else 0
 
 
@@ -352,14 +279,7 @@ def _cmd_sweep_ternary(args: argparse.Namespace) -> int:
         census = enumerate_ternary_census(GraphParams(args.n, args.q))
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    _print_json({
-        "constants": census.constants,
-        "quasi_strings": census.quasi_strings,
-        "quasi_crosses": census.quasi_crosses,
-        "not_member": census.not_member,
-        "members": census.members,
-        "total": census.total,
-    })
+    _print_json({**to_json(census), "members": census.members, "total": census.total})
     return 0
 
 

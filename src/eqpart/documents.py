@@ -9,13 +9,22 @@ The hex encoding is nibble little-endian: character d holds bits
 4d..4d+3 of the cell bitset, and the string has exactly
 ceil(q^n / 4) characters.  The induced-8-cycle cell of H(4, 2) reads
 "e427".
+
+Results go out through to_json: a partition as its document, alphabet
+blocks as their "0,1|2,3" text, any other dataclass as an object of its
+fields, tuples and sets as lists, fractions as "p/q" strings.  tagged adds
+the class name in snake case under "kind".
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
+from fractions import Fraction
 from typing import Any, Mapping
 
+from .constructions import AlphabetBlocks
 from .eigenfunctions import VertexFunction
 from .hamming import GraphParams
 from .partitions import TwoPartition
@@ -167,3 +176,27 @@ def parse_blocks(text: str) -> tuple[frozenset[int], ...]:
 
 def blocks_to_text(blocks: tuple[frozenset[int], ...]) -> str:
     return "|".join(",".join(str(s) for s in sorted(b)) for b in blocks)
+
+
+def to_json(obj: Any) -> Any:
+    """The JSON value of a result: a partition document, blocks text, or
+    the fields of a dataclass under their own names, converted in turn."""
+    if isinstance(obj, TwoPartition):
+        return partition_to_doc(obj)
+    if isinstance(obj, AlphabetBlocks):
+        return blocks_to_text(obj.blocks)
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [to_json(x) for x in obj]
+    if isinstance(obj, frozenset):
+        return sorted(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj
+
+
+def tagged(obj: Any) -> dict[str, Any]:
+    """to_json(obj) with "kind": the class name in snake case."""
+    kind = re.sub(r"(?<!^)(?=[A-Z])", "_", type(obj).__name__).lower()
+    return {"kind": kind, **to_json(obj)}

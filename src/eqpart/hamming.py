@@ -200,14 +200,6 @@ class Automorphism:
                 raise ValueError(f"alpha permutation {a} is not a permutation of 0..{q - 1}")
 
 
-def identity_automorphism(params: GraphParams) -> Automorphism:
-    ident = tuple(range(params.q))
-    return Automorphism(
-        coord_perm=tuple(range(1, params.n + 1)),
-        alpha_perms=tuple(ident for _ in range(params.n)),
-    )
-
-
 def apply_automorphism(params: GraphParams, g: Automorphism, v: int) -> int:
     """Image of vertex v under g."""
     if len(g.coord_perm) != params.n or len(g.alpha_perms[0]) != params.q:
@@ -236,37 +228,6 @@ def vertex_map(params: GraphParams, g: Automorphism) -> tuple[int, ...]:
         terms = [a * stride for a in g.alpha_perms[k - 1]]
         table = [w + t for w in table for t in terms]
     return tuple(table)
-
-
-def compose(g: Automorphism, h: Automorphism) -> Automorphism:
-    """The automorphism mapping x to g(h(x))."""
-    n = len(g.coord_perm)
-    if n != len(h.coord_perm):
-        raise ValueError("cannot compose automorphisms of different arity")
-    # z_k = alpha^g_k(y_{pi_g(k)}) with y_j = alpha^h_j(x_{pi_h(j)})
-    coord = tuple(h.coord_perm[g.coord_perm[k] - 1] for k in range(n))
-    alphas = tuple(
-        tuple(g.alpha_perms[k][h.alpha_perms[g.coord_perm[k] - 1][s]]
-              for s in range(len(g.alpha_perms[k])))
-        for k in range(n)
-    )
-    return Automorphism(coord, alphas)
-
-
-def inverse(g: Automorphism) -> Automorphism:
-    n = len(g.coord_perm)
-    q = len(g.alpha_perms[0])
-    pi_inv = [0] * n
-    for k in range(n):
-        pi_inv[g.coord_perm[k] - 1] = k + 1
-    alphas = []
-    for k in range(n):
-        src = pi_inv[k] - 1  # target coordinate of g that read source k
-        a_inv = [0] * q
-        for s in range(q):
-            a_inv[g.alpha_perms[src][s]] = s
-        alphas.append(tuple(a_inv))
-    return Automorphism(tuple(pi_inv), tuple(alphas))
 
 
 def random_automorphism(params: GraphParams, rng) -> Automorphism:

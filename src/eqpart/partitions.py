@@ -27,20 +27,15 @@ from .hamming import (
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """Square matrix of neighbor counts, rows indexed by cell."""
+    """2x2 matrix of neighbor counts, rows indexed by cell."""
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        r = len(self.rows)
-        if r == 0 or any(len(row) != r for row in self.rows):
-            raise ValueError("quotient matrix must be square and nonempty")
+        if len(self.rows) != 2 or any(len(row) != 2 for row in self.rows):
+            raise ValueError("quotient matrix must be 2x2")
         if any(x < 0 for row in self.rows for x in row):
             raise ValueError("quotient matrix entries must be nonnegative")
-
-    @property
-    def r(self) -> int:
-        return len(self.rows)
 
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
@@ -196,8 +191,6 @@ def equitable_check(p: TwoPartition) -> QuotientMatrix | NotEquitable:
 
 def quotient_eigenvalues(s: QuotientMatrix, params: GraphParams) -> tuple[int, int]:
     """(degree, S11 - S21): the two eigenvalues of a 2x2 quotient matrix."""
-    if s.r != 2:
-        raise ValueError("quotient eigenvalue pair needs a 2x2 matrix")
     if s.row_sums() != (params.degree, params.degree):
         raise ValueError(
             f"row sums {s.row_sums()} do not match the degree {params.degree}"
@@ -221,8 +214,6 @@ def quotient_eigenvalue_indices(s: QuotientMatrix, params: GraphParams) -> dict[
 
 def predicted_cell_size(s: QuotientMatrix, params: GraphParams) -> Fraction:
     """|C| = q^n * S21 / (S12 + S21), exactly, for a 2x2 quotient matrix."""
-    if s.r != 2:
-        raise ValueError("cell size prediction needs a 2x2 matrix")
     s12, s21 = s.rows[0][1], s.rows[1][0]
     if s12 + s21 == 0:
         raise ValueError("S12 + S21 = 0 admits no 2-partition of a connected graph")

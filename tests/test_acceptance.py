@@ -14,47 +14,52 @@ import random
 import time
 import warnings
 
-from eqpart import (
+from eqpart.constructions import (
     AlphabetBlocks,
-    CyclePairLifting,
-    EnumConstraints,
-    GraphParams,
     LiftBlocks,
-    QuotientMatrix,
-    TwoPartition,
-    VertexFunction,
-    adjacency_image,
-    backtracking_enumerate,
-    brute_force_enumerate,
-    classify_lambda1,
-    classify_reduced_lambda2,
-    classify_top_two,
-    constant_function,
-    eigenvalue,
     eight_cycle_partition,
-    equitable_check,
-    essential_coordinates,
-    extend,
-    in_top_two_eigenspaces,
-    is_eigenfunction,
     is_induced_cycle,
     lift_two_partition,
     lifted_cycle_pair,
-    orthogonal_array_check,
-    partition_eigenfunction,
-    partition_to_doc,
     permutation_switching,
-    predicted_cell_size,
+)
+from eqpart.documents import partition_to_doc
+from eqpart.eigenfunctions import (
+    NotEigen,
+    NotMember,
+    VertexFunction,
+    adjacency_image,
+    classify_lambda1,
+    classify_top_two,
+    constant_function,
+    in_top_two_eigenspaces,
+    is_eigenfunction,
+    partition_eigenfunction,
     quasi_cross,
     quasi_string,
-    quotient_eigenvalue_indices,
-    random_automorphism,
     restrict,
     restriction_difference,
+)
+from eqpart.hamming import GraphParams, eigenvalue, random_automorphism
+from eqpart.partitions import (
+    QuotientMatrix,
+    TwoPartition,
+    equitable_check,
+    essential_coordinates,
+    extend,
+    orthogonal_array_check,
+    predicted_cell_size,
+    quotient_eigenvalue_indices,
     transform,
 )
+from eqpart.search import (
+    CyclePairLifting,
+    EnumConstraints,
+    backtracking_enumerate,
+    brute_force_enumerate,
+    classify_reduced_lambda2,
+)
 from eqpart.cli import run_command
-from eqpart.eigenfunctions import NotEigen, NotMember
 
 SWEEP_GRAPHS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2))
 ROUTE_GRAPHS = ((2, 2), (2, 3), (3, 2), (2, 4))

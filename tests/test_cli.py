@@ -3,6 +3,7 @@
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +327,22 @@ def test_bad_usage():
     assert run(["no-such-command"])[0] == 2
     code, _, err = run(["verify"])
     assert code == 2
+
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def test_golden_transcript(tmp_path):
+    """Replay the recorded commands: exit code and stdout byte for byte.
+
+    Each case holds argv, the expected exit code and stdout, and an
+    optional input document; "@input" in argv names the file it is
+    written to.
+    """
+    path = tmp_path / "input.json"
+    for case in json.loads(GOLDEN.read_text()):
+        if "input" in case:
+            path.write_text(json.dumps(case["input"]))
+        argv = [str(path) if a == "@input" else a for a in case["argv"]]
+        code, out, err = run(argv)
+        assert (code, out, err) == (case["exit"], case["stdout"], ""), argv

@@ -1,10 +1,12 @@
-"""JSON document parsing and the nibble-wise hex cell codec."""
+"""JSON document parsing, the nibble-wise hex cell codec and the result
+serializer."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from eqpart.constructions import eight_cycle_partition
+from eqpart.constructions import AlphabetBlocks, eight_cycle_partition
 from eqpart.documents import (
     DocumentError,
     blocks_to_text,
@@ -16,9 +18,21 @@ from eqpart.documents import (
     parse_blocks,
     partition_from_doc,
     partition_to_doc,
+    tagged,
+    to_json,
 )
-from eqpart.eigenfunctions import VertexFunction
+from eqpart.eigenfunctions import (
+    AllZero,
+    Constant,
+    NotEigen,
+    NotMember,
+    QuasiCross,
+    QuasiString,
+    VertexFunction,
+)
 from eqpart.hamming import GraphParams
+from eqpart.partitions import FiberMismatch, TwoPartition
+from eqpart.search import CyclePairLifting, SmallBase, SwitchingConstruction, Unclassified
 
 
 def test_cell_hex_known_value():
@@ -133,3 +147,38 @@ def test_parse_blocks():
 def test_blocks_round_trip():
     for text in ("0,1|2,3", "0|1|2", "0,2|1,3"):
         assert blocks_to_text(parse_blocks(text)) == text
+
+
+def test_to_json_and_tagged():
+    """The shapes the command line cannot reach within its guards, and the
+    kind string of every result class on the wire."""
+    base = TwoPartition(GraphParams(2, 2), 0b0110)
+    blocks = AlphabetBlocks((frozenset({2, 0}), frozenset({1, 3})))
+    assert tagged(SwitchingConstruction(blocks, base)) == {
+        "kind": "switching_construction",
+        "blocks": "0,2|1,3",
+        "base": {"format_version": 1, "n": 2, "q": 2, "cell": "6"},
+    }
+    assert to_json(FiberMismatch(coordinate=2, symbol=1, count=1, expected=Fraction(3, 2))) == {
+        "coordinate": 2, "symbol": 1, "count": 1, "expected": "3/2",
+    }
+    assert tagged(Unclassified()) == {"kind": "unclassified"}
+    assert to_json((frozenset({3, 1}), (Fraction(4, 2), None, True))) == [[1, 3], ["2", None, True]]
+    plus, minus = frozenset({2, 0}), frozenset({1})
+    kinds = {
+        Constant(-1): "constant",
+        QuasiString(plus, minus, 1): "quasi_string",
+        QuasiCross(plus, minus, 1, 2): "quasi_cross",
+        NotMember(): "not_member",
+        AllZero(): "all_zero",
+        NotEigen(): "not_eigen",
+        SmallBase(): "small_base",
+        CyclePairLifting(frozenset({0}), eight_cycle_partition()): "cycle_pair_lifting",
+        SwitchingConstruction(blocks, base): "switching_construction",
+        Unclassified(): "unclassified",
+    }
+    for obj, kind in kinds.items():
+        assert tagged(obj)["kind"] == kind
+    assert tagged(QuasiCross(plus, minus, 1, 2)) == {
+        "kind": "quasi_cross", "plus": [0, 2], "minus": [1], "coordinate_i": 1, "coordinate_j": 2,
+    }

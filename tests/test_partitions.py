@@ -42,12 +42,14 @@ PAIR = TwoPartition.from_tuples(H32, [(0, 0, 0), (1, 1, 1)])
 
 
 def test_quotient_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2x2"):
         QuotientMatrix(((1, 2),))
+    with pytest.raises(ValueError, match="2x2"):
+        QuotientMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(ValueError):
         QuotientMatrix(((1, -1), (0, 1)))
     s = QuotientMatrix(((2, 2), (2, 2)))
-    assert s.r == 2 and s.row_sums() == (4, 4)
+    assert len(s.rows) == 2 and s.row_sums() == (4, 4)
 
 
 def test_two_partition_validation():
