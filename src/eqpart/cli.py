@@ -34,7 +34,7 @@ from .documents import (
     tagged,
     to_json,
 )
-from .eigenfunctions import classify_lambda1, classify_top_two, in_top_two_eigenspaces
+from .eigenfunctions import NotMember, classify_lambda1, classify_top_two
 from .hamming import GraphParams, eigenvalue
 from .partitions import (
     NotEquitable,
@@ -190,10 +190,11 @@ def _cmd_classify_fn(args: argparse.Namespace) -> int:
     f = function_from_doc(_read_doc(args.input))
     if not f.is_ternary():
         raise DocumentError("classification applies to ternary functions only")
+    form = classify_top_two(f)
     return_doc = {
-        "member": in_top_two_eigenspaces(f),
-        "top_two_form": tagged(classify_top_two(f)),
-        "lambda1_form": tagged(classify_lambda1(f)),
+        "member": not isinstance(form, NotMember),
+        "top_two_form": tagged(form),
+        "lambda1_form": tagged(classify_lambda1(f, form)),
     }
     _print_json(return_doc)
     return 0

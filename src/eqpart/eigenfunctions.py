@@ -11,7 +11,6 @@ and the quasi-crosses (supported on two).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Union
 
 from .hamming import (
@@ -19,11 +18,12 @@ from .hamming import (
     coordinate_stride,
     eigenvalue,
     essential_coordinates_of_values,
-    line_cliques,
+    residual_witness,
 )
 from .partitions import QuotientMatrix, TwoPartition, quotient_eigenvalues
 
-# Bound on |f(v)| so repeated adjacency sums stay far from any word size.
+# Bound on |f(v)| so the residual (A - lam I) f fits the 64-bit lanes of
+# hamming.residual_witness for every |lam| <= degree on every graph.
 MAX_ABS_VALUE = 1 << 20
 
 
@@ -52,32 +52,9 @@ def constant_function(params: GraphParams, value: int) -> VertexFunction:
     return VertexFunction(params, (value,) * params.vertex_count)
 
 
-def adjacency_image(f: VertexFunction) -> tuple[int, ...]:
-    """(A f)(v) = sum of f over the neighbors of v, for every v.
-
-    Computed per line: each vertex of a line receives the line total minus
-    its own value, which costs O(q^n * n) instead of O(q^n * n * q).
-    """
-    params = f.params
-    vals = f.values
-    out = [0] * params.vertex_count
-    for line in _all_lines(params):
-        total = sum(vals[v] for v in line)
-        for v in line:
-            out[v] += total - vals[v]
-    return tuple(out)
-
-
-@lru_cache(maxsize=4)
-def _all_lines(params: GraphParams) -> tuple[tuple[int, ...], ...]:
-    """The line cliques of every direction k = 1..n, in line_cliques order."""
-    return tuple(line for k in range(1, params.n + 1) for line in line_cliques(params, k))
-
-
 def is_eigenfunction(f: VertexFunction, lam: int) -> bool:
     """Whether A f = lam f holds exactly (true for the all-zero f)."""
-    img = adjacency_image(f)
-    return all(img[v] == lam * f.values[v] for v in range(f.params.vertex_count))
+    return residual_witness(f.params, f.values, lam) == (0, None)
 
 
 def restrict(f: VertexFunction, k: int, symbol: int) -> VertexFunction:
@@ -175,13 +152,7 @@ def in_top_two_eigenspaces(f: VertexFunction) -> bool:
 
     Equivalent operator test: (A - lambda_1 I) f is a constant function.
     """
-    lam1 = eigenvalue(f.params, 1)
-    img = adjacency_image(f)
-    first = img[0] - lam1 * f.values[0]
-    return all(
-        img[v] - lam1 * f.values[v] == first
-        for v in range(1, f.params.vertex_count)
-    )
+    return residual_witness(f.params, f.values, eigenvalue(f.params, 1))[1] is None
 
 
 # --- classified shapes ------------------------------------------------------
@@ -286,9 +257,10 @@ def classify_top_two(f: VertexFunction) -> TopTwoForm:
     return form
 
 
-def classify_lambda1(f: VertexFunction) -> Lambda1Form:
+def classify_lambda1(f: VertexFunction, top_two: TopTwoForm) -> Lambda1Form:
     """Classify a ternary f as a lambda_1(n, q)-eigenfunction shape.
 
+    top_two is classify_top_two(f), which the caller has already computed.
     The nonzero ternary lambda_1-eigenfunctions are exactly the strings
     and crosses: quasi-strings and quasi-crosses with |plus| = |minus|.
     The verdict is cross-validated against the eigen-equation.
@@ -297,12 +269,11 @@ def classify_lambda1(f: VertexFunction) -> Lambda1Form:
         raise ValueError("classification applies to ternary functions only")
     if f.is_zero():
         return AllZero()
-    form = classify_top_two(f)
-    balanced = isinstance(form, (QuasiString, QuasiCross)) and len(form.plus) == len(form.minus)
+    balanced = isinstance(top_two, (QuasiString, QuasiCross)) and len(top_two.plus) == len(top_two.minus)
     direct = is_eigenfunction(f, eigenvalue(f.params, 1))
     if balanced != direct:
         raise AssertionError("shape classification disagrees with the eigen-equation")
-    return form if balanced else NotEigen()
+    return top_two if balanced else NotEigen()
 
 
 def partition_eigenfunction(p: TwoPartition, s: QuotientMatrix) -> VertexFunction:

@@ -60,11 +60,6 @@ def coordinate_stride(params: GraphParams, k: int) -> int:
     return params.q ** (params.n - k)
 
 
-def coordinate_value(params: GraphParams, v: int, k: int) -> int:
-    """Symbol in coordinate k of the vertex with index v."""
-    return (v // coordinate_stride(params, k)) % params.q
-
-
 def encode_vertex(params: GraphParams, coords: Sequence[int]) -> int:
     """Vertex index of the tuple (x_1, ..., x_n)."""
     if len(coords) != params.n:
@@ -108,7 +103,7 @@ def neighbors(params: GraphParams, v: int) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def neighbor_table(params: GraphParams) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists for all vertices, same neighbor order as neighbors()."""
     return tuple(
@@ -136,6 +131,60 @@ def digit_masks(params: GraphParams) -> tuple[tuple[int, ...], ...]:
         zero = ((1 << s) - 1) * (repunit & ((1 << n_bits) - 1))
         out.append(tuple(zero << (a * s) for a in range(q)))
     return tuple(out)
+
+
+def residual_witness(
+    params: GraphParams, values: Sequence[int], lam: int
+) -> tuple[int, int | None]:
+    """(r(0), v) for the residual r = (A - lam I) values.
+
+    v is the lowest vertex with r(v) != r(0), or None when r is constant.
+    The values less their minimum are packed into little-endian lanes of
+    the smallest of 8, 16, 32 or 64 bits that holds (degree + |lam|) *
+    (max - min); a larger bound raises ValueError.  Each shift x_k ->
+    x_k + t (mod q) adds two masked shifts of the packed integer.  The
+    masks are built here from bytes patterns, not taken from digit_masks,
+    so the partition checks that use digit_masks and this kernel certify
+    each other.
+    """
+    q, n_vertices, degree = params.q, params.vertex_count, params.degree
+    low = min(values)
+    span = max(values) - low
+    bound = (degree + abs(lam)) * span
+    width = 8
+    while bound >> width:
+        width *= 2
+    if width > 64:
+        raise ValueError(f"residual bound {bound} does not fit 64-bit lanes")
+    if low:
+        values = [x - low for x in values]
+    nbytes = width // 8
+    if nbytes == 1:
+        packed = int.from_bytes(bytes(values), "little")
+    else:
+        packed = int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in values), "little")
+    ones, zeros = b"\xff" * nbytes, bytes(nbytes)
+    lane = (1 << width) - 1
+    full = (1 << n_vertices * width) - 1
+    repunit = full // lane
+    # lane x holds r(x) + offset, which lies in [0, bound]; every term
+    # added below is nonnegative in each lane, so no lane carries
+    offset = max(lam, 0) * span
+    acc = offset * repunit - lam * packed
+    s = n_vertices
+    for _ in range(params.n):
+        s //= q
+        for t in range(1, q):
+            # lanes whose symbol x_k is below q - t: the neighbor is t*s higher
+            below = int.from_bytes(
+                (ones * ((q - t) * s) + zeros * (t * s)) * (n_vertices // (q * s)), "little"
+            )
+            acc += (packed >> t * s * width) & below
+            acc += (packed << (q - t) * s * width) & (full ^ below)
+    first = acc & lane
+    diff = acc ^ first * repunit
+    r0 = first - offset + (degree - lam) * low
+    return r0, ((diff & -diff).bit_length() - 1) // width if diff else None
 
 
 def line_cliques(params: GraphParams, k: int) -> Iterator[tuple[int, ...]]:

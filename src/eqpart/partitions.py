@@ -21,6 +21,7 @@ from .hamming import (
     digit_masks,
     eigenvalue,
     encode_vertex,
+    residual_witness,
     vertex_map,
 )
 
@@ -303,31 +304,13 @@ def spectral_check(p: TwoPartition, lam: int) -> tuple[int, int] | None:
     """Check that (A - lam I) applied to the cell indicator is constant.
 
     This holds iff p is equitable with second quotient eigenvalue lam.
-    Returns None on pass, else the first vertex pair with different
-    residual values.  Kept independent of equitable_check on purpose so
-    the two certify each other.
+    Returns None on pass, else (0, v) for the lowest vertex v whose
+    residual differs from that of vertex 0.  The residual comes from
+    hamming.residual_witness, which shares no masks with equitable_check,
+    so the two routes certify each other.
     """
-    params = p.params
-    inside = p.indicator()
-    q = params.q
-    residual0 = None
-    for v in range(params.vertex_count):
-        acc = 0
-        stride = params.vertex_count
-        for _ in range(params.n):
-            stride //= q
-            d = (v // stride) % q
-            base = v - d * stride
-            for s_ in range(q):
-                if s_ != d:
-                    acc += inside[base + s_ * stride]
-        res = acc - lam * inside[v]
-        if residual0 is None:
-            residual0 = res
-            first = v
-        elif res != residual0:
-            return (first, v)
-    return None
+    v = residual_witness(p.params, p.indicator(), lam)[1]
+    return None if v is None else (0, v)
 
 
 def transform(p: TwoPartition, g: Automorphism) -> TwoPartition:

@@ -368,13 +368,6 @@ def _is_canonical(p: TwoPartition) -> bool:
     return _least_image(p, True) == p.cell
 
 
-def are_isomorphic(p1: TwoPartition, p2: TwoPartition) -> bool:
-    """Whether some automorphism maps the cell of p1 onto the cell of p2."""
-    if p1.params != p2.params:
-        raise ValueError("partitions live on different graphs")
-    return canonical_form(p1) == canonical_form(p2)
-
-
 # --- ternary function census -------------------------------------------------
 
 

@@ -28,7 +28,6 @@ from eqpart.eigenfunctions import (
     NotEigen,
     NotMember,
     VertexFunction,
-    adjacency_image,
     classify_lambda1,
     classify_top_two,
     constant_function,
@@ -40,7 +39,7 @@ from eqpart.eigenfunctions import (
     restrict,
     restriction_difference,
 )
-from eqpart.hamming import GraphParams, eigenvalue, random_automorphism
+from eqpart.hamming import GraphParams, eigenvalue, neighbor_table, random_automorphism
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
@@ -167,18 +166,18 @@ def test_criterion_03_lambda1_sweep_matches_balanced_shapes():
                 f = VertexFunction(params, values)
                 # the exact eigen-equation A f = lambda_1 f decides membership
                 eig = is_eigenfunction(f, lam)
-                assert eig == (not isinstance(classify_lambda1(f), NotEigen))
+                assert eig == (not isinstance(classify_lambda1(f, classify_top_two(f)), NotEigen))
                 if eig:
                     actual.add(values)
             assert actual == balanced_shapes(params)
 
 
 def annihilates(f, l1, l2):
-    """Whether (A - l1 I)(A - l2 I) f = 0 holds exactly."""
-    first = adjacency_image(f)
-    g = VertexFunction(f.params, tuple(x - l1 * v for x, v in zip(first, f.values)))
-    second = adjacency_image(g)
-    return all(x == l2 * v for x, v in zip(second, g.values))
+    """Whether (A - l2 I)(A - l1 I) f = 0 holds exactly: the first factor
+    from neighbor sums here, the second through is_eigenfunction."""
+    table = neighbor_table(f.params)
+    g = tuple(sum(f.values[w] for w in ws) - l1 * x for ws, x in zip(table, f.values))
+    return is_eigenfunction(VertexFunction(f.params, g), l2)
 
 
 def test_criterion_04_restriction_laws_on_random_partitions():

@@ -1,7 +1,6 @@
 """Eigenfunction arithmetic, restriction identities, and ternary shapes."""
 
 import itertools
-import random
 
 import pytest
 
@@ -13,7 +12,6 @@ from eqpart.eigenfunctions import (
     QuasiCross,
     QuasiString,
     VertexFunction,
-    adjacency_image,
     classify_lambda1,
     classify_top_two,
     constant_function,
@@ -43,19 +41,6 @@ def test_vertex_function_validation():
     assert f.is_ternary() and not f.is_zero()
     assert not VertexFunction(H22, (2, 0, 0, 0)).is_ternary()
     assert VertexFunction(H22, (0, 0, 0, 0)).is_zero()
-
-
-def test_adjacency_image_matches_neighbor_sums():
-    rng = random.Random(3)
-    for params in (H22, H32, H23, GraphParams(2, 4)):
-        table = neighbor_table(params)
-        for _ in range(20):
-            f = VertexFunction(
-                params, tuple(rng.randrange(-5, 6) for _ in range(params.vertex_count))
-            )
-            img = adjacency_image(f)
-            for v in range(params.vertex_count):
-                assert img[v] == sum(f.values[w] for w in table[v])
 
 
 def test_is_eigenfunction():
@@ -109,16 +94,19 @@ def test_restriction_difference_shifts_the_eigenvalue_index():
 
 
 def test_restriction_annihilation():
+    """(A - lambda_1)(A - lambda_2) kills each restriction: the first factor
+    from neighbor sums here, the second through is_eigenfunction."""
     p = eight_cycle_partition()
     f = partition_eigenfunction(p, equitable_check(p))
     small = GraphParams(3, 2)
+    table = neighbor_table(small)
     lam1, lam2 = eigenvalue(small, 1), eigenvalue(small, 2)
     for k in range(1, 5):
         for a in range(2):
-            h = restrict(f, k, a)
+            h = restrict(f, k, a).values
             u = VertexFunction(
                 small,
-                tuple(x - lam1 * y for x, y in zip(adjacency_image(h), h.values)),
+                tuple(sum(h[w] for w in ws) - lam1 * x for ws, x in zip(table, h)),
             )
             assert is_eigenfunction(u, lam2)
 
@@ -203,16 +191,20 @@ def test_classify_top_two_shapes():
         classify_top_two(VertexFunction(H22, (2, 0, 0, 0)))
 
 
+def _lambda1_form(f):
+    return classify_lambda1(f, classify_top_two(f))
+
+
 def test_classify_lambda1():
-    assert classify_lambda1(constant_function(H23, 0)) == AllZero()
-    assert classify_lambda1(constant_function(H23, 1)) == NotEigen()
-    assert classify_lambda1(quasi_string(H23, {0}, {1}, 1)) == QuasiString(
+    assert _lambda1_form(constant_function(H23, 0)) == AllZero()
+    assert _lambda1_form(constant_function(H23, 1)) == NotEigen()
+    assert _lambda1_form(quasi_string(H23, {0}, {1}, 1)) == QuasiString(
         plus=frozenset({0}), minus=frozenset({1}), coordinate=1
     )
-    assert classify_lambda1(quasi_string(H23, {0, 1}, {2}, 1)) == NotEigen()
-    assert isinstance(classify_lambda1(quasi_cross(H23, {0}, {2}, 1, 2)), QuasiCross)
-    assert classify_lambda1(quasi_cross(H23, {0, 1}, {2}, 1, 2)) == NotEigen()
-    assert classify_lambda1(VertexFunction(H22, (1, -1, -1, 1))) == NotEigen()
+    assert _lambda1_form(quasi_string(H23, {0, 1}, {2}, 1)) == NotEigen()
+    assert isinstance(_lambda1_form(quasi_cross(H23, {0}, {2}, 1, 2)), QuasiCross)
+    assert _lambda1_form(quasi_cross(H23, {0, 1}, {2}, 1, 2)) == NotEigen()
+    assert _lambda1_form(VertexFunction(H22, (1, -1, -1, 1))) == NotEigen()
 
 
 def test_lambda1_sweep_equivalence():
@@ -220,7 +212,7 @@ def test_lambda1_sweep_equivalence():
     lam1 = eigenvalue(H22, 1)
     for values in itertools.product((-1, 0, 1), repeat=4):
         f = VertexFunction(H22, values)
-        form = classify_lambda1(f)
+        form = _lambda1_form(f)
         assert isinstance(form, (AllZero, QuasiString, QuasiCross)) == is_eigenfunction(f, lam1)
 
 

@@ -9,7 +9,6 @@ from eqpart.hamming import (
     GraphParams,
     apply_automorphism,
     coordinate_stride,
-    coordinate_value,
     decode_vertex,
     digit_masks,
     eigenvalue,
@@ -57,7 +56,7 @@ def test_codec_round_trip():
             assert all(0 <= x < params.q for x in word)
             assert encode_vertex(params, word) == v
             for k in range(1, params.n + 1):
-                assert coordinate_value(params, v, k) == word[k - 1]
+                assert (v // coordinate_stride(params, k)) % params.q == word[k - 1]
 
 
 def test_codec_is_big_endian():
@@ -136,11 +135,11 @@ def test_line_cliques_cover_all_edges():
 
 def test_essential_coordinates_of_values():
     params = GraphParams(3, 2)
-    f = [coordinate_value(params, v, 2) for v in range(8)]
+    f = [(v >> 1) & 1 for v in range(8)]  # x_2 of H(3, 2)
     assert essential_coordinates_of_values(params, f) == frozenset({2})
     g = [1] * 8
     assert essential_coordinates_of_values(params, g) == frozenset()
-    h = [coordinate_value(params, v, 1) ^ coordinate_value(params, v, 3) for v in range(8)]
+    h = [(v >> 2) ^ (v & 1) for v in range(8)]  # x_1 xor x_3
     assert essential_coordinates_of_values(params, h) == frozenset({1, 3})
 
 

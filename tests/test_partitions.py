@@ -181,33 +181,45 @@ def _recount_check(p, counts):
     return QuotientMatrix(tuple((k, p.params.degree - k) for k in ref))
 
 
+def _recount_spectral(inside, counts, lam):
+    """spectral_check the slow way: the residual count - lam * inside at
+    each vertex, and the first vertex where it differs from vertex 0."""
+    res = [c - lam * b for c, b in zip(counts, inside)]
+    return next(((0, v) for v, r in enumerate(res) if r != res[0]), None)
+
+
 def test_spectral_check_matches_equitable_check():
     """The equitability routes must agree on every cell of small graphs:
     equitable_check against a vertex-by-vertex recount and the brute-force
-    counter, spectral_check at every eigenvalue, with the cell read through
-    indicator() as through contains()."""
+    counter, spectral_check against a recounted residual, with the cell
+    read through indicator() as through contains().  spectral_check runs
+    at every lambda in [-degree, degree] where there are few cells, and at
+    the eigenvalues on H(2,4) and H(4,2)."""
     for params in (GraphParams(1, 5), H22, H32, GraphParams(2, 3), GraphParams(2, 4),
                    GraphParams(4, 2)):
         nbrs = neighbor_table(params)
-        spectrum = [eigenvalue(params, i) for i in range(params.n + 1)]
+        if params.vertex_count < 16:
+            lams = range(-params.degree, params.degree + 1)
+        else:
+            lams = [eigenvalue(params, i) for i in range(params.n + 1)]
         for cell in range(1, (1 << params.vertex_count) - 1):
             p = TwoPartition(params, cell)
             inside = p.indicator()
             assert inside == bytes(map(p.contains, range(params.vertex_count)))
+            counts = [sum(map(inside.__getitem__, ws)) for ws in nbrs]
             s = equitable_check(p)
-            assert s == _recount_check(p, [sum(map(inside.__getitem__, ws)) for ws in nbrs])
+            assert s == _recount_check(p, counts)
             brute = _fast_two_quotient(nbrs, cell, params.vertex_count)
             if isinstance(s, QuotientMatrix):
                 assert brute == (*s.rows[0], *s.rows[1])
-                lam = s.rows[0][0] - s.rows[1][0]
-                assert spectral_check(p, lam) is None
-                for other in spectrum:
-                    if other != lam:
-                        assert spectral_check(p, other) is not None
             else:
                 assert brute is None
-                for lam in spectrum:
-                    assert spectral_check(p, lam) is not None
+            for lam in lams:
+                witness = spectral_check(p, lam)
+                assert witness == _recount_spectral(inside, counts, lam)
+                assert (witness is None) == (
+                    isinstance(s, QuotientMatrix) and lam == s.rows[0][0] - s.rows[1][0]
+                )
 
 
 def _kernel_inputs():
@@ -238,6 +250,9 @@ def test_bitset_kernel_matches_vertex_recount():
         inside = p.indicator()
         counts = [sum(inside[w] for _, w in neighbors(params, v)) for v in range(params.vertex_count)]
         assert equitable_check(p) == _recount_check(p, counts)
+        for i in range(params.n + 1):
+            lam = eigenvalue(params, i)
+            assert spectral_check(p, lam) == _recount_spectral(inside, counts, lam)
         assert essential_coordinates(p) == essential_coordinates_of_values(params, inside)
         if params.n < 2 or s.rows[0][0] - s.rows[1][0] != eigenvalue(params, 2):
             continue
