@@ -4,7 +4,7 @@ Results go to stdout as JSON (one object, or for enumerate one object per
 line followed by a summary).  Exit codes: 0 for success, 1 for a verified
 negative result (a partition that is not equitable, a construction whose
 input fails its balance gate, an unclassified partition), 2 for usage or
-document format errors.
+document format errors and for inputs beyond a guard.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .partitions import (
 )
 from .search import (
     EnumConstraints,
+    GuardError,
     Unclassified,
     backtracking_enumerate,
     brute_force_enumerate,
@@ -268,6 +269,8 @@ def _cmd_classify_t5(args: argparse.Namespace) -> int:
     p = partition_from_doc(_read_doc(args.input))
     try:
         tag = classify_reduced_lambda2(p, check_secondary=args.check_secondary)
+    except GuardError as exc:
+        raise DocumentError(str(exc)) from None
     except ValueError as exc:
         _print_json({"error": str(exc)})
         return 1

@@ -48,13 +48,18 @@ from .partitions import (
 )
 
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
-# Vertex-count bound for the backtracking search: it recurses once per
-# vertex, so its depth is q^n, and Python's default limit is 1,000 frames.
+# Vertex-count bound for the backtracking search.  Its stack is a list, so
+# the bound is not a frame limit; it stays well beyond the graphs the search
+# finishes in minutes (H(3, 4), 64 vertices, takes 20-30 s).
 BACKTRACK_LIMIT = 512
 TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
 CANONICAL_N_LIMIT = 5
 CANONICAL_Q_LIMIT = 5
 _SHARD_DEPTH = 10               # fixed prefix depth; independent of threads
+
+
+class GuardError(ValueError):
+    """An input lies beyond a guard of this module: a refusal, not a result."""
 
 
 @dataclass(frozen=True)
@@ -81,33 +86,30 @@ def candidate_quotient_matrices(
 ) -> tuple[QuotientMatrix, ...]:
     """All 2x2 quotient matrices compatible with the constraints.
 
-    For an eigenvalue index i the candidates are the matrices with
-    S11 - S21 = lambda_i, correct row sums, S12, S21 >= 1 and an integer
-    predicted cell size strictly between 0 and q^n.
+    An explicit quotient must have row sums equal to the degree.  For an
+    eigenvalue index i the candidates are the matrices with S11 - S21 =
+    lambda_i, correct row sums and S12, S21 >= 1.  Either way only matrices
+    with an integer predicted cell size strictly between 0 and q^n are kept.
     """
     k = params.degree
     if constraints.quotient is not None:
-        s = constraints.quotient
-        if s.row_sums() != (k, k):
+        if constraints.quotient.row_sums() != (k, k):
             raise ValueError("quotient constraint has wrong shape or row sums")
-        return (s,)
-    if constraints.eigenvalue_index is None:
+        candidates: tuple[QuotientMatrix, ...] = (constraints.quotient,)
+    elif constraints.eigenvalue_index is None:
         raise ValueError("constraints resolve to no candidate quotient matrices")
-    lam = eigenvalue(params, constraints.eigenvalue_index)
-    out = []
-    for s21 in range(1, k + 1):
-        s11 = lam + s21
-        if s11 < 0:
-            continue
-        s12 = k - s11
-        s22 = k - s21
-        if s12 < 1 or s22 < 0:
-            continue
-        size = predicted_cell_size(QuotientMatrix(((s11, s12), (s21, s22))), params)
-        if size.denominator != 1 or not 0 < size < params.vertex_count:
-            continue
-        out.append(QuotientMatrix(((s11, s12), (s21, s22))))
-    return tuple(out)
+    else:
+        lam = eigenvalue(params, constraints.eigenvalue_index)
+        candidates = tuple(
+            QuotientMatrix(((lam + s21, k - lam - s21), (s21, k - s21)))
+            for s21 in range(1, k + 1)
+            if lam + s21 >= 0 and k - lam - s21 >= 1
+        )
+    return tuple(
+        s for s in candidates
+        if (size := predicted_cell_size(s, params)).denominator == 1
+        and 0 < size < params.vertex_count
+    )
 
 
 def _fast_two_quotient(nbrs, cell: int, n_vertices: int):
@@ -148,7 +150,7 @@ def brute_force_enumerate(
     cell bitset."""
     n_vertices = params.vertex_count
     if n_vertices > BRUTE_FORCE_LIMIT:
-        raise ValueError(
+        raise GuardError(
             f"brute force sweep guarded to q^n <= {BRUTE_FORCE_LIMIT}, got {n_vertices}"
         )
     nbrs = neighbor_table(params)
@@ -169,66 +171,56 @@ def brute_force_enumerate(
 # --- backtracking route -----------------------------------------------------
 
 
-def _search_shard(n, q, s11, s21, size_c, prefix, depth):
+@lru_cache(maxsize=4)
+def _pruning_table(params: GraphParams) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each vertex v, the vertices whose count is checked once v is set:
+    v and each neighbor w < v, as (bit of w, neighbor bitset of w, number
+    of neighbors of w still unassigned once vertices 0..v are set)."""
+    nbrs = neighbor_table(params)
+    masks = [sum(1 << w for w in ws) for ws in nbrs]
+    return tuple(
+        tuple(
+            (1 << w, masks[w], sum(1 for x in nbrs[w] if x > v))
+            for w in (v, *(w for w in nbrs[v] if w < v))
+        )
+        for v in range(params.vertex_count)
+    )
+
+
+def _search_shard(shard: tuple[GraphParams, int, int, int, int, int]) -> list[int]:
     """All completions of the prefix assignment to valid cells, as ints.
 
-    Vertices are assigned in index order; vertex v < depth goes to the
-    cell given by bit v of prefix.  Feasibility pruning: a vertex w with
-    cnt assigned neighbors in C, pending unassigned neighbors and target
-    count req must satisfy cnt <= req <= cnt + pending.
+    shard is (params, s11, s21, size_c, prefix, depth).  Vertices are
+    assigned in index order; vertex v < depth goes to the cell given by
+    bit v of prefix.  A search state is (next vertex, cell bitset, cell
+    size) on an explicit stack.  Feasibility pruning: a vertex w with cnt
+    assigned neighbors in C, pending unassigned neighbors and target count
+    req must satisfy cnt <= req <= cnt + pending.
     """
-    params = GraphParams(n, q)
-    nbrs = neighbor_table(params)
-    n_vertices = params.vertex_count
-    cnt = [0] * n_vertices        # assigned neighbors in C
-    pending = [len(nbrs[v]) for v in range(n_vertices)]
-    in_c = [False] * n_vertices
+    params, s11, s21, size_c, prefix, depth = shard
+    table = _pruning_table(params)
+    n_vertices = len(table)
     found: list[int] = []
-
-    def feasible(w: int) -> bool:
-        req = s11 if in_c[w] else s21
-        return cnt[w] <= req <= cnt[w] + pending[w]
-
-    def dfs(v: int, size: int) -> None:
+    stack = [(0, 0, 0)]
+    while stack:
+        v, cell, size = stack.pop()
         if v == n_vertices:
-            bits = 0
-            for u in range(n_vertices):
-                if in_c[u]:
-                    bits |= 1 << u
-            found.append(bits)
-            return
-        choices = ((prefix >> v) & 1,) if v < depth else (0, 1)
+            found.append(cell)
+            continue
         rest = n_vertices - v - 1
-        for c in choices:
+        for c in ((prefix >> v) & 1,) if v < depth else (0, 1):
             new_size = size + c
             if new_size > size_c or size_c - new_size > rest:
                 continue
-            in_c[v] = bool(c)
-            ok = feasible(v)
-            touched = []
-            if ok:
-                for w in nbrs[v]:
-                    pending[w] -= 1
-                    if c:
-                        cnt[w] += 1
-                    touched.append(w)
-                    if w <= v and not feasible(w):
-                        ok = False
-                        break
-            if ok:
-                dfs(v + 1, new_size)
-            for w in touched:
-                pending[w] += 1
-                if c:
-                    cnt[w] -= 1
-        in_c[v] = False
-
-    dfs(0, 0)
+            new_cell = cell | (c << v)
+            for bit, mask, pending in table[v]:
+                cnt = (new_cell & mask).bit_count()
+                req = s11 if new_cell & bit else s21
+                if not cnt <= req <= cnt + pending:
+                    break
+            else:
+                stack.append((v + 1, new_cell, new_size))
     return found
-
-
-def _search_shard_star(args):
-    return _search_shard(*args)
 
 
 def backtracking_enumerate(
@@ -248,29 +240,24 @@ def backtracking_enumerate(
     q^n <= 512.
     """
     if params.vertex_count > BACKTRACK_LIMIT:
-        raise ValueError(
+        raise GuardError(
             f"backtracking search guarded to q^n <= {BACKTRACK_LIMIT}, got {params.vertex_count}"
         )
-    candidates = candidate_quotient_matrices(params, constraints)
     depth = min(params.vertex_count, _SHARD_DEPTH)
-    shards = []
-    for s in candidates:
-        size = predicted_cell_size(s, params)
-        if size.denominator != 1 or not 0 < size < params.vertex_count:
-            continue
-        shards.extend(
-            (params.n, params.q, s.rows[0][0], s.rows[1][0], int(size), p, depth)
-            for p in range(1 << depth)
-        )
+    shards = [
+        (params, s.rows[0][0], s.rows[1][0], int(predicted_cell_size(s, params)), p, depth)
+        for s in candidate_quotient_matrices(params, constraints)
+        for p in range(1 << depth)
+    ]
     cells: set[int] = set()
     workers = min(threads, os.cpu_count() or 1, len(shards))
     if workers <= 1:
-        for a in shards:
-            cells.update(_search_shard(*a))
+        for shard in shards:
+            cells.update(_search_shard(shard))
     else:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunksize = max(1, (1 << depth) // (8 * workers))
-            for chunk in ex.map(_search_shard_star, shards, chunksize=chunksize):
+            for chunk in ex.map(_search_shard, shards, chunksize=chunksize):
                 cells.update(chunk)
     out = [TwoPartition(params, c) for c in sorted(cells)]
     if constraints.reduced_only:
@@ -308,7 +295,7 @@ def _least_image(p: TwoPartition, stop_below_cell: bool) -> int:
     """
     params = p.params
     if params.n > CANONICAL_N_LIMIT or params.q > CANONICAL_Q_LIMIT:
-        raise ValueError(
+        raise GuardError(
             f"canonical form guarded to n <= {CANONICAL_N_LIMIT}, q <= {CANONICAL_Q_LIMIT}"
         )
     q = params.q
@@ -402,7 +389,7 @@ def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
     n_vertices = params.vertex_count
     # 3^15 <= 2^24 < 3^16: refuse larger graphs before computing the power
     if n_vertices > 15 or 3 ** n_vertices > TERNARY_SWEEP_LIMIT:
-        raise ValueError(f"ternary sweep guarded to 3^(q^n) <= {TERNARY_SWEEP_LIMIT}")
+        raise GuardError(f"ternary sweep guarded to 3^(q^n) <= {TERNARY_SWEEP_LIMIT}")
     counts = {Constant: 0, QuasiString: 0, QuasiCross: 0, NotMember: 0}
     for values in itertools.product((-1, 0, 1), repeat=n_vertices):
         counts[type(classify_top_two(VertexFunction(params, values)))] += 1
@@ -500,16 +487,21 @@ def _ordered_alphabet_blocks(q: int, parts: int):
 
 
 def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
+    """The first split and cycle pair whose lift is isomorphic to p, if any.
+
+    The lifts of all 24 cycle pairs over all splits form one isomorphism
+    class (test_cycle_pair_lifts_form_one_class pins this for q = 2 and 4,
+    the even q within the canonical-form guard), so the first lift decides.
+    """
     params = p.params
     if params.n != 4 or params.q % 2:
         return None
     target = canonical_form(p)
-    for split in itertools.combinations(range(params.q), params.q // 2):
-        for pair in _cycle_pairs_h42():
-            candidate = lifted_cycle_pair(params.q, split, pair)
-            if canonical_form(candidate) == target:
-                return CyclePairLifting(split=frozenset(split), cycle_pair=pair)
-    return None
+    split = tuple(range(params.q // 2))
+    pair = _cycle_pairs_h42()[0]
+    if canonical_form(lifted_cycle_pair(params.q, split, pair)) != target:
+        return None
+    return CyclePairLifting(split=frozenset(split), cycle_pair=pair)
 
 
 def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
@@ -535,7 +527,9 @@ def classify_reduced_lambda2(
     family that produces it.
 
     Preconditions (ValueError): p is equitable, its second quotient
-    eigenvalue is lambda_2(n, q), and every coordinate is essential.
+    eigenvalue is lambda_2(n, q), and every coordinate is essential.  A
+    partition that needs canonical forms beyond their guard raises
+    GuardError once the preconditions hold.
     n <= 3 is tagged SmallBase outright (set check_secondary to also
     record whether a switching construction matches).  For n >= 4 the
     cycle-pair lifting recognizer runs first, then the switching

@@ -293,6 +293,24 @@ def test_classify_t5_preconditions(tmp_path):
     assert "not reduced" in json.loads(out)["error"]
 
 
+def test_classify_t5_guard_refusals(tmp_path):
+    """Canonical forms beyond their guard end in exit 2 with one stderr
+    line and empty stdout; n <= 3 needs none without --check-secondary."""
+    code, out, _ = run(["construct-b", "--q", "6", "--split", "0,1,2"])
+    assert code == 0
+    lifted = write_doc(tmp_path, "h46.json", json.loads(out)["partition"])
+    # the two cells of H(2, 6) split by (x < 3) != (y < 3)
+    base = write_doc(tmp_path, "h26.json",
+                     {"format_version": 1, "n": 2, "q": 6, "cell": "83e8f17c1"})
+    for argv in (["classify-t5", lifted], ["classify-t5", base, "--check-secondary"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: canonical form guarded to n <= 5, q <= 5\n"
+    code, out, err = run(["classify-t5", base])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": None}
+
+
 def test_sweep_ternary():
     code, out, _ = run(["sweep-ternary", "--n", "2", "--q", "2"])
     assert code == 0

@@ -1,11 +1,15 @@
 """Property tests, with inputs drawn by Hypothesis."""
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eqpart.eigenfunctions import MAX_ABS_VALUE
 from eqpart.hamming import GraphParams, neighbor_table, residual_witness
+from eqpart.partitions import TwoPartition, equitable_check
+from eqpart.search import EnumConstraints, backtracking_enumerate
 
 # H(1, 300) has degree 299, so even an indicator needs 16-bit lanes.
 GRAPHS = [GraphParams(n, q) for n, q in
@@ -51,3 +55,33 @@ def test_residual_witness_matches_neighbor_sums(case):
         return
     first = next((v for v, x in enumerate(r) if x != r[0]), None)
     assert residual_witness(params, values, lam) == (r[0], first)
+
+
+# Every graph with q^n <= 27 except the complete graphs H(1, q) with q > 12:
+# at index 1 every one of their 2^q - 2 proper cells is equitable.  The 300
+# derandomized examples below draw each of the 47 (graph, index) pairs.
+SMALL_GRAPHS = [GraphParams(n, q) for n in range(1, 5) for q in range(2, 28)
+                if q ** n <= 27 and (n > 1 or q <= 12)]
+ENUMERATIONS = [(params, i) for params in SMALL_GRAPHS for i in range(params.n + 1)]
+
+
+@lru_cache(maxsize=None)
+def _labelled_cells(params, index):
+    found = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=index))
+    return frozenset(p.cell for p in found)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(ENUMERATIONS), st.integers(min_value=0))
+def test_complement_law(case, pick):
+    """The backtracking output is closed under complement, and the
+    complement of a cell with quotient [[a, b], [c, d]] has quotient
+    [[d, c], [b, a]]."""
+    params, index = case
+    cells = _labelled_cells(params, index)
+    full = (1 << params.vertex_count) - 1
+    assert {full ^ c for c in cells} == cells
+    if cells:
+        cell = sorted(cells)[pick % len(cells)]
+        (a, b), (c, d) = equitable_check(TwoPartition(params, cell)).rows
+        assert equitable_check(TwoPartition(params, full ^ cell)).rows == ((d, c), (b, a))

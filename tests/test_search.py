@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import sys
 import warnings
 from math import comb
 
@@ -136,6 +137,20 @@ def test_worker_processes_are_capped(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     backtracking_enumerate(H22, c, threads=100000)
     assert pools == [3, 16]
+
+
+def test_backtracking_does_not_recurse():
+    """H(8, 2) has 256 vertices, far deeper than the frame limit set here;
+    at eigenvalue index 8 the two cells are the colour classes."""
+    params = GraphParams(8, 2)
+    even = sum(1 << v for v in range(256) if v.bit_count() % 2 == 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(120)
+    try:
+        found = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=8))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [p.cell for p in found] == sorted([even, even ^ ((1 << 256) - 1)])
 
 
 def test_reduced_only_filter():
@@ -335,6 +350,61 @@ def test_classify_never_warns_on_reduced_h42():
         warnings.simplefilter("error")
         tags = [classify_reduced_lambda2(p) for p in reduced]
     assert all(isinstance(t, CyclePairLifting) for t in tags)
+
+
+def test_reduced_lambda2_classes_are_tagged():
+    """Every reduced lambda_2 class on the graphs within budget is tagged
+    by a construction family, with warnings as errors."""
+    expected = {
+        (3, 3): [SmallBase, SmallBase],
+        (4, 2): [CyclePairLifting],
+        (5, 2): [], (4, 3): [], (6, 2): [],
+    }
+    c = EnumConstraints(eigenvalue_index=2, reduced_only=True, up_to_iso=True)
+    for (n, q), tags in expected.items():
+        reps = backtracking_enumerate(GraphParams(n, q), c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = [classify_reduced_lambda2(p) for p in reps]
+        assert [type(t) for t in found] == tags, (n, q)
+
+
+def test_cycle_pair_lifts_form_one_class():
+    """For q = 2 and 4, the lift of every induced-8-cycle pair over every
+    split is an image of the first lift under an automorphism of H(4, q),
+    so _match_cycle_pair_lifting may compare with the first lift only.
+
+    The automorphism (coordinate permutation pi, flips a_k) of H(4, 2)
+    that takes the first pair to a pair lifts to H(4, q): at coordinate k,
+    beta_k maps the first split onto the split and its complement onto the
+    complement, after exchanging the two if a_k flips."""
+    pairs = search._cycle_pairs_h42()
+    first = pairs[0]
+    moves = [
+        next(
+            (perm, alphas)
+            for perm in itertools.permutations(range(1, 5))
+            for alphas in itertools.product(((0, 1), (1, 0)), repeat=4)
+            if transform(first, Automorphism(perm, alphas)) == pair
+        )
+        for pair in pairs
+    ]
+    for q in (2, 4):
+        splits = list(itertools.combinations(range(q), q // 2))
+        blocks0 = (splits[0], tuple(s for s in range(q) if s not in splits[0]))
+        base = lifted_cycle_pair(q, splits[0], first)
+        for split in splits:
+            blocks = (split, tuple(s for s in range(q) if s not in split))
+            for pair, (perm, alphas) in zip(pairs, moves):
+                betas = []
+                for a in alphas:
+                    beta = [0] * q
+                    for src, dst in zip(blocks0, (blocks[a[0]], blocks[a[1]])):
+                        for s, t in zip(src, dst):
+                            beta[s] = t
+                    betas.append(tuple(beta))
+                image = transform(base, Automorphism(perm, tuple(betas)))
+                assert image == lifted_cycle_pair(q, split, pair), (q, split, pair.cell)
 
 
 def test_cycle_pairs_h42_order():
