@@ -5,7 +5,9 @@ can certify each other: a plain sweep over all cell bitsets (desk scale
 only) and a backtracking search driven by candidate quotient matrices.
 The backtracking search tree is sharded at a fixed prefix depth; shards
 can run in worker processes, and their merged, sorted union is identical
-for any thread count.
+for any thread count.  A cell with quotient [[a, b], [c, d]] has a
+complement with quotient [[d, c], [b, a]], so one side of each such pair
+is searched and the other is its complement.
 
 Canonical forms minimize the cell bitset over the full group of
 coordinate and symbol permutations by branch and bound, so two partitions
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -50,7 +51,7 @@ from .partitions import (
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
 # Vertex-count bound for the backtracking search.  Its stack is a list, so
 # the bound is not a frame limit; it stays well beyond the graphs the search
-# finishes in minutes (H(3, 4), 64 vertices, takes 20-30 s).
+# finishes in minutes (H(3, 4), 64 vertices, takes 9-13 s at index 2).
 BACKTRACK_LIMIT = 512
 TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
 CANONICAL_N_LIMIT = 5
@@ -112,13 +113,12 @@ def candidate_quotient_matrices(
     )
 
 
-def _fast_two_quotient(nbrs, cell: int, n_vertices: int):
-    """(s11, s12, s21, s22) of the cell bitset, or None; early abort."""
+def _fast_two_quotient(masks, cell: int, deg: int):
+    """(s11, s12, s21, s22) of the cell bitset, or None; early abort.
+    masks[v] is the neighbor bitset of vertex v."""
     s11 = s21 = -1
-    for v in range(n_vertices):
-        cnt = 0
-        for w in nbrs[v]:
-            cnt += (cell >> w) & 1
+    for v, mask in enumerate(masks):
+        cnt = (cell & mask).bit_count()
         if (cell >> v) & 1:
             if s11 < 0:
                 s11 = cnt
@@ -129,7 +129,6 @@ def _fast_two_quotient(nbrs, cell: int, n_vertices: int):
                 s21 = cnt
             elif cnt != s21:
                 return None
-    deg = len(nbrs[0])
     return s11, deg - s11, s21, deg - s21
 
 
@@ -153,10 +152,12 @@ def brute_force_enumerate(
         raise GuardError(
             f"brute force sweep guarded to q^n <= {BRUTE_FORCE_LIMIT}, got {n_vertices}"
         )
-    nbrs = neighbor_table(params)
+    # built here from neighbor_table, not from _pruning_table, so that this
+    # route shares nothing with the backtracking route it certifies
+    masks = [sum(1 << w for w in ws) for ws in neighbor_table(params)]
     out = []
     for cell in range(1, (1 << n_vertices) - 1):
-        s = _fast_two_quotient(nbrs, cell, n_vertices)
+        s = _fast_two_quotient(masks, cell, params.degree)
         if s is None or not _satisfies(params, s, constraints):
             continue
         p = TwoPartition(params, cell)
@@ -231,6 +232,13 @@ def backtracking_enumerate(
     """Enumerate equitable 2-partitions matching a quotient matrix or an
     eigenvalue index by pruned backtracking over vertex assignments.
 
+    The complement of a cell with quotient [[a, b], [c, d]] has quotient
+    [[d, c], [b, a]].  When the partner of every candidate is a candidate,
+    only the member of each pair with the smaller cell is searched, a
+    self-paired candidate (a = d, b = c) only over the cells that contain
+    vertex 0, and the complements of the cells found are added.  Otherwise
+    (an explicit quotient that is not self-paired) it is searched in full.
+
     The search tree is split at a fixed prefix depth into shards whose
     results are merged and sorted, so the output is identical for every
     thread count.  Output is sorted by cell bitset and agrees with
@@ -239,26 +247,47 @@ def backtracking_enumerate(
     processes; with one worker they run in this process.  Guarded to
     q^n <= 512.
     """
-    if params.vertex_count > BACKTRACK_LIMIT:
+    n_vertices = params.vertex_count
+    if n_vertices > BACKTRACK_LIMIT:
         raise GuardError(
-            f"backtracking search guarded to q^n <= {BACKTRACK_LIMIT}, got {params.vertex_count}"
+            f"backtracking search guarded to q^n <= {BACKTRACK_LIMIT}, got {n_vertices}"
         )
-    depth = min(params.vertex_count, _SHARD_DEPTH)
-    shards = [
-        (params, s.rows[0][0], s.rows[1][0], int(predicted_cell_size(s, params)), p, depth)
-        for s in candidate_quotient_matrices(params, constraints)
-        for p in range(1 << depth)
-    ]
+    depth = min(n_vertices, _SHARD_DEPTH)
+    candidates = candidate_quotient_matrices(params, constraints)
+    rows = {s.rows for s in candidates}
+    partner = {r: ((r[1][1], r[1][0]), (r[0][1], r[0][0])) for r in rows}
+    # true for every eigenvalue index; for an explicit quotient iff self-paired
+    paired = set(partner.values()) == rows
+    shards = []
+    for s in candidates:
+        size = int(predicted_cell_size(s, params))
+        if not paired:
+            prefixes = range(1 << depth)
+        elif partner[s.rows] == s.rows:
+            prefixes = range(1, 1 << depth, 2)      # bit 0 set: vertex 0 in C
+        elif 2 * size < n_vertices:
+            # the partner's cells have n_vertices * b / (b + c) vertices, so
+            # equal sizes would need b = c and a = d: no tie reaches here
+            prefixes = range(1 << depth)
+        else:
+            continue        # found as the complements of the partner's cells
+        shards.extend((params, s.rows[0][0], s.rows[1][0], size, p, depth) for p in prefixes)
     cells: set[int] = set()
     workers = min(threads, os.cpu_count() or 1, len(shards))
     if workers <= 1:
         for shard in shards:
             cells.update(_search_shard(shard))
     else:
+        # imported here so that no other command pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunksize = max(1, (1 << depth) // (8 * workers))
             for chunk in ex.map(_search_shard, shards, chunksize=chunksize):
                 cells.update(chunk)
+    if paired:
+        full = (1 << n_vertices) - 1
+        cells |= {full ^ cell for cell in cells}
     out = [TwoPartition(params, c) for c in sorted(cells)]
     if constraints.reduced_only:
         out = [p for p in out if len(essential_coordinates(p)) == params.n]
@@ -470,7 +499,7 @@ def _lambda2_bases(q: int) -> tuple[TwoPartition, ...]:
     """All equitable 2-partitions of H(2, q) with second eigenvalue -2."""
     params = GraphParams(2, q)
     return tuple(
-        brute_force_enumerate(params, EnumConstraints(eigenvalue_index=2))
+        backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2))
     )
 
 

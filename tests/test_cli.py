@@ -282,6 +282,19 @@ def test_classify_t5_small_base(tmp_path):
     assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": True}
 
 
+def test_classify_t5_secondary_on_h25(tmp_path):
+    """The H(2, 5) lambda_2 bases come from the backtracking search, not
+    from a sweep over all 2^25 cells (about 75 s on 2 vCPUs)."""
+    # the anti-diagonal x + y = 4, the first H(2, 5) lambda_2 cell
+    doc = {"format_version": 1, "n": 2, "q": 5, "vertices": [4, 8, 12, 16, 20]}
+    start = time.perf_counter()
+    code, out, err = run(["classify-t5", write_doc(tmp_path, "p.json", doc),
+                          "--check-secondary"])
+    assert time.perf_counter() - start < 20.0
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"tag": {"kind": "small_base", "secondary_switching": True}}
+
+
 def test_classify_t5_preconditions(tmp_path):
     doc = {"format_version": 1, "n": 2, "q": 2, "cell": "1"}
     code, out, _ = run(["classify-t5", write_doc(tmp_path, "p.json", doc)])

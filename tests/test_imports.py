@@ -26,3 +26,16 @@ def test_module_imports_alone(module):
     child = subprocess.run([sys.executable, "-c", f"import eqpart.{module}"],
                            capture_output=True, text=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    """Only enumerate --threads > 1 uses a process pool; every other command
+    starts without importing its machinery."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = ("import sys, eqpart.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    child = subprocess.run([sys.executable, "-c", code],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

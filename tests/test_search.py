@@ -1,5 +1,6 @@
 """Enumeration routes, canonical forms, censuses, and classification."""
 
+import concurrent.futures
 import io
 import itertools
 import json
@@ -38,6 +39,8 @@ from eqpart.search import (
 H22 = GraphParams(2, 2)
 H32 = GraphParams(3, 2)
 H42 = GraphParams(4, 2)
+# the graphs on which test_acceptance holds the two enumeration routes equal
+ROUTE_GRAPHS = (H22, GraphParams(2, 3), H32, GraphParams(2, 4))
 
 
 def test_constraints_validation():
@@ -97,6 +100,24 @@ def test_backtracking_explicit_quotient():
     assert backtracking_enumerate(H32, c) == []
 
 
+def test_backtracking_explicit_candidates_match_brute_force():
+    """Each candidate of every index, given as an explicit quotient, is
+    searched in full: a self-paired one over the cells that contain vertex
+    0 plus their complements, any other one with no complements added,
+    because its partner is not a candidate then."""
+    self_paired = 0
+    for params in ROUTE_GRAPHS:
+        for i in range(params.n + 1):
+            for s in candidate_quotient_matrices(params, EnumConstraints(eigenvalue_index=i)):
+                (a, b), (c, d) = s.rows
+                self_paired += (a, b) == (d, c)
+                explicit = EnumConstraints(quotient=s)
+                assert [p.cell for p in backtracking_enumerate(params, explicit)] == [
+                    p.cell for p in brute_force_enumerate(params, explicit)
+                ], (params, s.rows)
+    assert self_paired
+
+
 def test_backtracking_threads_do_not_change_output():
     c = EnumConstraints(eigenvalue_index=2)
     single = [p.cell for p in backtracking_enumerate(H32, c, threads=1)]
@@ -122,7 +143,8 @@ def test_worker_processes_are_capped(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", FakePool)
+    # the pool branch imports the executor when it runs, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     c = EnumConstraints(eigenvalue_index=2)
     expected = [p.cell for p in backtracking_enumerate(H42, c)]
     assert pools == []
@@ -131,12 +153,13 @@ def test_worker_processes_are_capped(monkeypatch):
     assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
     assert pools == [3]
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1000)
-    # H(2, 2) has one candidate matrix and 2^4 shards
+    # H(2, 2) has one candidate matrix, [[0, 2], [2, 0]]; it is self-paired,
+    # so only the 2^3 of its 2^4 shards with vertex 0 in C are searched
     assert [p.cell for p in backtracking_enumerate(H22, c, threads=100000)] == [6, 9]
-    assert pools == [3, 16]
+    assert pools == [3, 8]
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     backtracking_enumerate(H22, c, threads=100000)
-    assert pools == [3, 16]
+    assert pools == [3, 8]
 
 
 def test_backtracking_does_not_recurse():
