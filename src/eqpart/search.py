@@ -3,7 +3,10 @@
 Two independent enumeration routes are kept deliberately separate so they
 can certify each other: a plain sweep over all cell bitsets (desk scale
 only) and a backtracking search driven by candidate quotient matrices.
-The backtracking search tree is sharded at a fixed prefix depth; shards
+The backtracking search branches only on the free vertices of an
+echelon form of (A - lam I) x = s21 * 1, which every cell with second
+quotient eigenvalue lam satisfies, and takes every other vertex from its
+row.  It is sharded at the states it reaches at a fixed vertex; shards
 can run in worker processes, and their merged, sorted union is identical
 for any thread count.  A cell with quotient [[a, b], [c, d]] has a
 complement with quotient [[d, c], [b, a]], so one side of each such pair
@@ -22,6 +25,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 from typing import Optional, Union
 
 from .constructions import (
@@ -51,12 +55,13 @@ from .partitions import (
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
 # Vertex-count bound for the backtracking search.  Its stack is a list, so
 # the bound is not a frame limit; it stays well beyond the graphs the search
-# finishes in minutes (H(3, 4), 64 vertices, takes 9-13 s at index 2).
+# finishes in minutes (H(3, 4), 64 vertices, takes about 2 s at index 2,
+# and H(3, 5), 125 vertices, about 2.5 min).
 BACKTRACK_LIMIT = 512
 TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
 CANONICAL_N_LIMIT = 5
 CANONICAL_Q_LIMIT = 5
-_SHARD_DEPTH = 10               # fixed prefix depth; independent of threads
+_SHARD_DEPTH = 10               # shards are the live states at this vertex
 
 
 class GuardError(ValueError):
@@ -188,28 +193,105 @@ def _pruning_table(params: GraphParams) -> tuple[tuple[tuple[int, int, int], ...
     )
 
 
-def _search_shard(shard: tuple[GraphParams, int, int, int, int, int]) -> list[int]:
-    """All completions of the prefix assignment to valid cells, as ints.
+@lru_cache(maxsize=4)
+def _forced_table(
+    params: GraphParams, lam: int
+) -> tuple[Optional[tuple[int, int, tuple[tuple[int, int], ...]]], ...]:
+    """For each vertex p, None if p is free, else the row of an echelon
+    form of (A - lam I) x = s21 * 1 whose latest vertex is p.
 
-    shard is (params, s11, s21, size_c, prefix, depth).  Vertices are
-    assigned in index order; vertex v < depth goes to the cell given by
-    bit v of prefix.  A search state is (next vertex, cell bitset, cell
-    size) on an explicit stack.  Feasibility pruning: a vertex w with cnt
-    assigned neighbors in C, pending unassigned neighbors and target count
-    req must satisfy cnt <= req <= cnt + pending.
+    A cell with quotient [[s11, s12], [s21, s22]] and lam = s11 - s21 has
+    s21 + lam * x_v members among the neighbors of v, so its indicator x
+    solves that system.  Rows are reduced in exact integers, each divided
+    by its gcd.  The row of p is (d, beta, ((g, mask), ...)) with d > 0:
+    d * x_p = s21 * beta - sum of g * |cell & mask|, the masks bucketing
+    the vertices below p by their coefficient g.  Rows that reduce to zero
+    are dropped: for lam != degree the constant vector s21 / (degree - lam)
+    solves the system, and lam = degree forces s21 = s11 - degree = 0.
     """
-    params, s11, s21, size_c, prefix, depth = shard
+    rows: dict[int, tuple[dict[int, int], int]] = {}
+    for v, ws in enumerate(neighbor_table(params)):
+        row = dict.fromkeys(ws, 1)
+        if lam:
+            row[v] = -lam
+        beta = 1
+        while row:
+            p = max(row)
+            g = gcd(beta, *row.values())
+            if row[p] < 0:
+                g = -g
+            if g != 1:
+                row = {w: c // g for w, c in row.items()}
+                beta //= g
+            if p not in rows:
+                rows[p] = (row, beta)
+                break
+            prow, pbeta = rows[p]
+            g = gcd(prow[p], row[p])
+            a, b = prow[p] // g, row[p] // g
+            if a != 1:
+                row = {w: a * c for w, c in row.items()}
+            for w, c in prow.items():
+                x = row.get(w, 0) - b * c
+                if x:
+                    row[w] = x
+                else:
+                    del row[w]
+            beta = a * beta - b * pbeta
+    table = []
+    for p in range(params.vertex_count):
+        if p not in rows:
+            table.append(None)
+            continue
+        row, beta = rows[p]
+        buckets: dict[int, int] = {}
+        for w, g in row.items():
+            if w != p:
+                buckets[g] = buckets.get(g, 0) | 1 << w
+        table.append((row[p], beta, tuple(buckets.items())))
+    return tuple(table)
+
+
+def _walk(
+    params: GraphParams, s11: int, s21: int, size_c: int,
+    state: tuple[int, int, int], stop: int,
+) -> list[tuple[int, int, int]]:
+    """The states (next vertex, cell bitset, cell size) that the search
+    reaches at vertex stop from state.
+
+    Vertices are assigned in index order on an explicit stack.  A vertex
+    with a row in _forced_table takes the one value that row gives, since
+    every vertex below it is assigned; the state dies unless that value is
+    0 or 1.  A free vertex branches 0/1.  Feasibility pruning: a vertex w
+    with cnt assigned neighbors in C, pending unassigned neighbors and
+    target count req must satisfy cnt <= req <= cnt + pending.
+    """
     table = _pruning_table(params)
+    forced = _forced_table(params, s11 - s21)
     n_vertices = len(table)
-    found: list[int] = []
-    stack = [(0, 0, 0)]
+    found = []
+    stack = [state]
     while stack:
         v, cell, size = stack.pop()
-        if v == n_vertices:
-            found.append(cell)
+        if v == stop:
+            found.append((v, cell, size))
             continue
+        row = forced[v]
+        if row is None:
+            choices: tuple[int, ...] = (0, 1)
+        else:
+            d, beta, terms = row
+            val = s21 * beta
+            for g, mask in terms:
+                val -= g * (cell & mask).bit_count()
+            if val == 0:
+                choices = (0,)
+            elif val == d:
+                choices = (1,)
+            else:
+                continue
         rest = n_vertices - v - 1
-        for c in ((prefix >> v) & 1,) if v < depth else (0, 1):
+        for c in choices:
             new_size = size + c
             if new_size > size_c or size_c - new_size > rest:
                 continue
@@ -224,13 +306,54 @@ def _search_shard(shard: tuple[GraphParams, int, int, int, int, int]) -> list[in
     return found
 
 
+def _search_shard(shard: tuple[GraphParams, int, int, int, tuple[int, int, int]]) -> list[int]:
+    """All cells the search completes from one live state, as ints.
+
+    shard is (params, s11, s21, size_c, state), state one of those that
+    _walk reaches at the shard depth; see _live_shards.
+    """
+    params, s11, s21, size_c, state = shard
+    return [cell for _, cell, _ in _walk(params, s11, s21, size_c, state, params.vertex_count)]
+
+
+def _live_shards(
+    params: GraphParams, candidates: tuple[QuotientMatrix, ...], paired: bool
+) -> list[tuple[GraphParams, int, int, int, tuple[int, int, int]]]:
+    """The shards of the searched candidates: for each, in candidate order,
+    the states the search reaches at vertex min(q^n, _SHARD_DEPTH), sorted,
+    so the list is the same for every thread count.
+
+    With paired set, a candidate whose partner [[d, c], [b, a]] has the
+    smaller cell is skipped, and a self-paired one starts from its state
+    with vertex 0 in C; see backtracking_enumerate.
+    """
+    n_vertices = params.vertex_count
+    depth = min(n_vertices, _SHARD_DEPTH)
+    shards = []
+    for s in candidates:
+        (s11, s12), (s21, s22) = s.rows
+        size = int(predicted_cell_size(s, params))
+        self_paired = (s11, s12) == (s22, s21)
+        # the partner's cells have n_vertices * b / (b + c) vertices, so
+        # equal sizes would need b = c and a = d: no tie reaches here
+        if paired and not self_paired and 2 * size > n_vertices:
+            continue        # found as the complements of the partner's cells
+        roots = _walk(params, s11, s21, size, (0, 0, 0), 1)
+        if paired and self_paired:
+            roots = [r for r in roots if r[1] & 1]
+        states = sorted(x for r in roots for x in _walk(params, s11, s21, size, r, depth))
+        shards.extend((params, s11, s21, size, x) for x in states)
+    return shards
+
+
 def backtracking_enumerate(
     params: GraphParams,
     constraints: EnumConstraints,
     threads: int = 1,
 ) -> list[TwoPartition]:
     """Enumerate equitable 2-partitions matching a quotient matrix or an
-    eigenvalue index by pruned backtracking over vertex assignments.
+    eigenvalue index by backtracking over vertex assignments, forcing
+    every vertex that an echelon row of (A - lam I) x = s21 * 1 determines.
 
     The complement of a cell with quotient [[a, b], [c, d]] has quotient
     [[d, c], [b, a]].  When the partner of every candidate is a candidate,
@@ -239,9 +362,9 @@ def backtracking_enumerate(
     vertex 0, and the complements of the cells found are added.  Otherwise
     (an explicit quotient that is not self-paired) it is searched in full.
 
-    The search tree is split at a fixed prefix depth into shards whose
-    results are merged and sorted, so the output is identical for every
-    thread count.  Output is sorted by cell bitset and agrees with
+    The search is split at the live states of a fixed depth into shards
+    whose results are merged and sorted, so the output is identical for
+    every thread count.  Output is sorted by cell bitset and agrees with
     brute_force_enumerate wherever both are allowed to run.  All shards
     share one pool of min(threads, os.cpu_count(), shard count) worker
     processes; with one worker they run in this process.  Guarded to
@@ -252,26 +375,11 @@ def backtracking_enumerate(
         raise GuardError(
             f"backtracking search guarded to q^n <= {BACKTRACK_LIMIT}, got {n_vertices}"
         )
-    depth = min(n_vertices, _SHARD_DEPTH)
     candidates = candidate_quotient_matrices(params, constraints)
     rows = {s.rows for s in candidates}
-    partner = {r: ((r[1][1], r[1][0]), (r[0][1], r[0][0])) for r in rows}
     # true for every eigenvalue index; for an explicit quotient iff self-paired
-    paired = set(partner.values()) == rows
-    shards = []
-    for s in candidates:
-        size = int(predicted_cell_size(s, params))
-        if not paired:
-            prefixes = range(1 << depth)
-        elif partner[s.rows] == s.rows:
-            prefixes = range(1, 1 << depth, 2)      # bit 0 set: vertex 0 in C
-        elif 2 * size < n_vertices:
-            # the partner's cells have n_vertices * b / (b + c) vertices, so
-            # equal sizes would need b = c and a = d: no tie reaches here
-            prefixes = range(1 << depth)
-        else:
-            continue        # found as the complements of the partner's cells
-        shards.extend((params, s.rows[0][0], s.rows[1][0], size, p, depth) for p in prefixes)
+    paired = {((r[1][1], r[1][0]), (r[0][1], r[0][0])) for r in rows} == rows
+    shards = _live_shards(params, candidates, paired)
     cells: set[int] = set()
     workers = min(threads, os.cpu_count() or 1, len(shards))
     if workers <= 1:
@@ -282,7 +390,7 @@ def backtracking_enumerate(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            chunksize = max(1, (1 << depth) // (8 * workers))
+            chunksize = max(1, len(shards) // (8 * workers))
             for chunk in ex.map(_search_shard, shards, chunksize=chunksize):
                 cells.update(chunk)
     if paired:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from eqpart.eigenfunctions import MAX_ABS_VALUE
 from eqpart.hamming import GraphParams, neighbor_table, residual_witness
-from eqpart.partitions import TwoPartition, equitable_check
-from eqpart.search import EnumConstraints, backtracking_enumerate
+from eqpart.partitions import QuotientMatrix, TwoPartition, equitable_check
+from eqpart.search import EnumConstraints, backtracking_enumerate, brute_force_enumerate
 
 # H(1, 300) has degree 299, so even an indicator needs 16-bit lanes.
 GRAPHS = [GraphParams(n, q) for n, q in
@@ -85,3 +85,35 @@ def test_complement_law(case, pick):
         cell = sorted(cells)[pick % len(cells)]
         (a, b), (c, d) = equitable_check(TwoPartition(params, cell)).rows
         assert equitable_check(TwoPartition(params, full ^ cell)).rows == ((d, c), (b, a))
+
+
+# Graphs whose 2^(q^n) sweep takes well under a second: q^n <= 16.  The
+# sweep over H(2, 5) or H(1, 25) takes about a minute for each quotient.
+SWEEP_GRAPHS = [params for params in SMALL_GRAPHS if params.vertex_count <= 16]
+
+
+@st.composite
+def explicit_quotients(draw):
+    params = draw(st.sampled_from(SWEEP_GRAPHS))
+    k = params.degree
+    s11, s21 = draw(st.integers(0, k)), draw(st.integers(0, k))
+    return params, QuotientMatrix(((s11, k - s11), (s21, k - s21)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(explicit_quotients())
+@example((GraphParams(2, 4), QuotientMatrix(((3, 3), (3, 3)))))  # lam = 0, no eigenvalue
+@example((GraphParams(3, 2), QuotientMatrix(((0, 3), (1, 2)))))  # not self-paired
+@example((GraphParams(4, 2), QuotientMatrix(((2, 2), (2, 2)))))  # self-paired
+@example((GraphParams(2, 2), QuotientMatrix(((2, 0), (0, 2)))))  # S12 + S21 = 0
+def test_backtracking_matches_brute_force_on_explicit_quotients(case):
+    """Any explicit quotient with row sums equal to the degree, at an
+    eigenvalue or not, self-paired or not: the two routes agree."""
+    params, s = case
+    c = EnumConstraints(quotient=s)
+    if s.rows[0][1] + s.rows[1][0] == 0:
+        with pytest.raises(ValueError, match="S12 \\+ S21 = 0"):
+            backtracking_enumerate(params, c)
+        assert brute_force_enumerate(params, c) == []
+        return
+    assert backtracking_enumerate(params, c) == brute_force_enumerate(params, c)

@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import warnings
+from collections import Counter
 from math import comb
 
 import pytest
@@ -123,11 +124,17 @@ def test_backtracking_threads_do_not_change_output():
     single = [p.cell for p in backtracking_enumerate(H32, c, threads=1)]
     double = [p.cell for p in backtracking_enumerate(H32, c, threads=2)]
     assert single == double
+    # H(3, 3) has more live shards than workers, so these run a real pool
+    params = GraphParams(3, 3)
+    assert len(search._live_shards(params, candidate_quotient_matrices(params, c), True)) > 8
+    runs = [[p.cell for p in backtracking_enumerate(params, c, threads=t)] for t in (1, 2, 8)]
+    assert len(runs[0]) == 180
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_worker_processes_are_capped(monkeypatch):
-    """One pool per call, with at most min(threads, CPU count, shard count)
-    workers; the recording fake pool runs the shards in this process."""
+    """One pool per call, with min(threads, CPU count, shard count) workers;
+    the recording fake pool runs the shards in this process."""
     pools = []
 
     class FakePool:
@@ -146,20 +153,88 @@ def test_worker_processes_are_capped(monkeypatch):
     # the pool branch imports the executor when it runs, so patch its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     c = EnumConstraints(eigenvalue_index=2)
+
+    def shard_count(params):
+        return len(search._live_shards(params, candidate_quotient_matrices(params, c), True))
+
     expected = [p.cell for p in backtracking_enumerate(H42, c)]
     assert pools == []
+    shards = shard_count(H42)
+    assert 5 < shards < 1000
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    # three candidate quotient matrices share one pool of 3 workers
+    # three candidate quotient matrices share one pool, capped by the CPUs
     assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
     assert pools == [3]
     monkeypatch.setattr(search.os, "cpu_count", lambda: 1000)
+    # capped by the threads, then by the shards
+    assert [p.cell for p in backtracking_enumerate(H42, c, threads=5)] == expected
+    assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
+    assert pools == [3, 5, shards]
     # H(2, 2) has one candidate matrix, [[0, 2], [2, 0]]; it is self-paired,
-    # so only the 2^3 of its 2^4 shards with vertex 0 in C are searched
+    # so only the cells with vertex 0 in C are searched: one live shard and
+    # no pool
+    assert shard_count(H22) == 1
     assert [p.cell for p in backtracking_enumerate(H22, c, threads=100000)] == [6, 9]
-    assert pools == [3, 8]
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    backtracking_enumerate(H22, c, threads=100000)
-    assert pools == [3, 8]
+    backtracking_enumerate(H42, c, threads=100000)
+    assert pools == [3, 5, shards]
+
+
+def test_forced_table_free_vertices():
+    """The free vertices of (A - lam_i I) x = s21 * 1 number the multiplicity
+    of lam_i, C(n, i) (q - 1)^i."""
+    for params in (*ROUTE_GRAPHS, GraphParams(3, 3), H42, GraphParams(9, 2)):
+        n, q = params.n, params.q
+        for i in range(n + 1):
+            lam = params.degree - q * i     # lam_i = n (q - 1) - q i
+            table = search._forced_table(params, lam)
+            assert len(table) == params.vertex_count
+            assert table.count(None) == comb(n, i) * (q - 1) ** i, (params, i)
+
+
+def test_forced_rows_hold_on_equitable_cells():
+    """Every pivot row holds, with the cell's own s21, on every cell that
+    brute force finds."""
+    checked = 0
+    for params in ROUTE_GRAPHS:
+        for i in range(params.n + 1):
+            c = EnumConstraints(eigenvalue_index=i)
+            for p in brute_force_enumerate(params, c):
+                (s11, _), (s21, _) = equitable_check(p).rows
+                for v, row in enumerate(search._forced_table(params, s11 - s21)):
+                    if row is None:
+                        continue
+                    d, beta, terms = row
+                    total = sum(g * (p.cell & mask).bit_count() for g, mask in terms)
+                    assert d * ((p.cell >> v) & 1) == s21 * beta - total, (params, i, p.cell, v)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_non_eigenvalue_quotient_forces_every_vertex():
+    """lam = s11 - s21 outside the spectrum of H(2, 4) (6, 2, -2): every
+    vertex is a pivot, and the search still agrees with brute force."""
+    params = GraphParams(2, 4)
+    for rows in (((3, 3), (3, 3)), ((5, 1), (1, 5))):
+        s = QuotientMatrix(rows)
+        assert None not in search._forced_table(params, rows[0][0] - rows[1][0])
+        c = EnumConstraints(quotient=s)
+        assert candidate_quotient_matrices(params, c) == (s,)
+        assert backtracking_enumerate(params, c) == brute_force_enumerate(params, c) == []
+
+
+def test_h34_index2_counts():
+    """The H(3, 4) index-2 count, 26,766, by quotient matrix."""
+    found = backtracking_enumerate(GraphParams(3, 4), EnumConstraints(eigenvalue_index=2))
+    assert len(found) == 26766
+    by_rows = Counter(equitable_check(p).rows for p in found)
+    assert by_rows == {
+        ((3, 6), (2, 7)): 180,
+        ((4, 5), (3, 6)): 6912,
+        ((5, 4), (4, 5)): 12582,
+        ((6, 3), (5, 4)): 6912,
+        ((7, 2), (6, 3)): 180,
+    }
 
 
 def test_backtracking_does_not_recurse():
