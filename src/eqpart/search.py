@@ -13,8 +13,10 @@ complement with quotient [[d, c], [b, a]], so one side of each such pair
 is searched and the other is its complement.
 
 Canonical forms minimize the cell bitset over the full group of
-coordinate and symbol permutations by branch and bound, so two partitions
-are isomorphic iff their canonical forms coincide.  Complement swaps are
+coordinate and symbol permutations by branch and bound; they serve the
+up-to-iso filter only.  Whether a partition is isomorphic to a given one,
+as the classification asks, is decided by one walk of the same group cut
+to the images that can still reach the given cell.  Complement swaps are
 not quotiented out: (C, complement) and (complement, C) are distinct.
 """
 
@@ -26,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .constructions import (
     AlphabetBlocks,
@@ -404,7 +406,7 @@ def backtracking_enumerate(
     return out
 
 
-# --- canonical forms --------------------------------------------------------
+# --- canonical forms and the image test -------------------------------------
 
 
 def _subslice(bits: int, m: int, pos: int, symbol: int, q: int) -> int:
@@ -421,42 +423,38 @@ def _subslice(bits: int, m: int, pos: int, symbol: int, q: int) -> int:
     return out
 
 
-def _least_image(p: TwoPartition, stop_below_cell: bool) -> int:
-    """The minimum cell bitset over all graph automorphisms of p, or, with
-    stop_below_cell, the first image found below p.cell if there is one.
-
-    Branch and bound over which source coordinate and symbol permutation
-    feed each target coordinate, most significant first.  The incumbent
-    starts at p.cell, the identity image; a node is cut when even packing
-    each block's members into its lowest positions cannot beat it.
-    """
-    params = p.params
+def _check_group_guard(params: GraphParams) -> None:
+    """Refuse a graph beyond the guard of the walks over its group."""
     if params.n > CANONICAL_N_LIMIT or params.q > CANONICAL_Q_LIMIT:
         raise GuardError(
             f"canonical form guarded to n <= {CANONICAL_N_LIMIT}, q <= {CANONICAL_Q_LIMIT}"
         )
+
+
+def _walk_images(p: TwoPartition, cut, leaf) -> bool:
+    """Walk the images of p.cell under the graph automorphisms; True as
+    soon as leaf(image) is true, False once the walk is done.
+
+    Each node fixes which source coordinate and symbol permutation feed the
+    target coordinates so far, most significant first; its slices are the
+    blocks of the image, each over the q^m tuples of the m coordinates
+    left.  A node is skipped when cut(slices, m) is true.  Guarded to
+    n <= 5 and q <= 5.
+    """
+    params = p.params
+    _check_group_guard(params)
     q = params.q
     # target symbols q-1..0 take source symbols gamma[q-1]..gamma[0]
     orders = tuple(perm[::-1] for perm in itertools.permutations(range(q)))
-    best = p.cell
 
     def descend(slices: tuple[int, ...], m: int) -> bool:
-        """Lower best from this node; True once an early stop is due."""
-        nonlocal best
-        k = len(slices)
         if m == 0:
+            k = len(slices)
             val = 0
             for i, b in enumerate(slices):
                 val |= b << (k - 1 - i)
-            if val < best:
-                best = val
-                return stop_below_cell
-            return False
-        length = q ** m
-        bound = 0
-        for i, s in enumerate(slices):
-            bound |= ((1 << s.bit_count()) - 1) << ((k - 1 - i) * length)
-        if bound >= best:
+            return leaf(val)
+        if cut(slices, m):
             return False
         seen = set()
         for pos in range(m):
@@ -470,19 +468,67 @@ def _least_image(p: TwoPartition, stop_below_cell: bool) -> int:
                     return True
         return False
 
-    descend((p.cell,), params.n)
+    return descend((p.cell,), params.n)
+
+
+def _least_image(p: TwoPartition, stop_below_cell: bool) -> int:
+    """The minimum cell bitset over all graph automorphisms of p, or, with
+    stop_below_cell, the first image found below p.cell if there is one.
+
+    The incumbent starts at p.cell, the identity image; a node is cut when
+    even packing each block's members into its lowest positions cannot
+    beat it.
+    """
+    q = p.params.q
+    best = p.cell
+
+    def cut(slices: tuple[int, ...], m: int) -> bool:
+        k, length = len(slices), q ** m
+        bound = 0
+        for i, s in enumerate(slices):
+            bound |= ((1 << s.bit_count()) - 1) << ((k - 1 - i) * length)
+        return bound >= best
+
+    def leaf(val: int) -> bool:
+        nonlocal best
+        if val < best:
+            best = val
+            return stop_below_cell
+        return False
+
+    _walk_images(p, cut, leaf)
     return best
+
+
+def _is_image(p: TwoPartition, target: int) -> bool:
+    """Whether some graph automorphism maps p.cell to target.
+
+    The walk of _least_image with another cut.  The coordinates left move
+    the bit positions of every slice alike, so the columns of a node (bit
+    j of each slice in turn) must be those of the target blocks its slices
+    fill, in some order; otherwise the node is cut.  So each slice needs
+    as many members as its block (at the root, the cell sizes agree), and
+    at the last coordinate the cut is exact.  A leaf hits only if it
+    equals target.  Same guard as canonical_form.
+    """
+    q = p.params.q
+    bits = format(target, f"0{p.params.vertex_count}b")
+    columns: dict[int, list[str]] = {}
+
+    def cut(slices: tuple[int, ...], m: int) -> bool:
+        length = q ** m
+        if m not in columns:
+            columns[m] = sorted(bits[j::length] for j in range(length))
+        image = "".join([format(s, f"0{length}b") for s in slices])
+        return sorted(image[j::length] for j in range(length)) != columns[m]
+
+    return _walk_images(p, cut, target.__eq__)
 
 
 @lru_cache(maxsize=256)
 def canonical_form(p: TwoPartition) -> int:
-    """The minimum cell bitset over all graph automorphisms of p.
-
-    Branch and bound over which source coordinate and symbol permutation
-    feed each target coordinate, most significant first; a node is cut
-    when even packing each block's members into its lowest positions
-    cannot beat the incumbent.  Guarded to n <= 5 and q <= 5.
-    """
+    """The minimum cell bitset over all graph automorphisms of p, by the
+    branch and bound of _least_image.  Guarded to n <= 5 and q <= 5."""
     return _least_image(p, False)
 
 
@@ -577,16 +623,14 @@ class Unclassified:
 ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Unclassified]
 
 
-@lru_cache(maxsize=1)
-def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
-    """All 24 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
+def _iter_cycle_pairs_h42() -> Iterator[TwoPartition]:
+    """The 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
     in lexicographic order of their ascending vertex tuples (not in cell
     bitset order).  classify-t5 reports the first pair that matches, so
     this order is part of its output."""
     params = GraphParams(4, 2)
     # the 4 neighbors of v differ from v in one bit
     nbr_masks = [sum(1 << (v ^ (1 << i)) for i in range(4)) for v in range(16)]
-    out = []
     for combo in itertools.combinations(range(16), 8):
         cell = sum(1 << v for v in combo)
         # Both cells are 2-regular iff every vertex has 2 of its 4 neighbors
@@ -598,8 +642,14 @@ def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
             continue
         if is_induced_cycle(params, TwoPartition(params, p.complement_bits()).vertices()) != 8:
             continue
-        out.append(p)
-    return tuple(out)
+        yield p
+
+
+@lru_cache(maxsize=1)
+def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
+    """All 24 induced-8-cycle pairs of H(4, 2), in the order of
+    _iter_cycle_pairs_h42."""
+    return tuple(_iter_cycle_pairs_h42())
 
 
 @lru_cache(maxsize=8)
@@ -628,31 +678,34 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
 
     The lifts of all 24 cycle pairs over all splits form one isomorphism
     class (test_cycle_pair_lifts_form_one_class pins this for q = 2 and 4,
-    the even q within the canonical-form guard), so the first lift decides.
+    the even q within the canonical-form guard), so the first lift decides,
+    by one pruned walk of the group (_is_image), not by canonical forms.
     """
     params = p.params
     if params.n != 4 or params.q % 2:
         return None
-    target = canonical_form(p)
+    _check_group_guard(params)      # refuse before building the lift
     split = tuple(range(params.q // 2))
-    pair = _cycle_pairs_h42()[0]
-    if canonical_form(lifted_cycle_pair(params.q, split, pair)) != target:
+    pair = next(_iter_cycle_pairs_h42())
+    if not _is_image(p, lifted_cycle_pair(params.q, split, pair).cell):
         return None
     return CyclePairLifting(split=frozenset(split), cycle_pair=pair)
 
 
 def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
+    """The first alphabet split, then lambda_2 base of H(2, q), whose
+    permutation switching p is an image of (_is_image), if any."""
     params = p.params
     if params.n < 2 or params.q < params.n - 1:
         return None
-    target = canonical_form(p)
+    _check_group_guard(params)      # refuse before building the bases
     for blocks in _ordered_alphabet_blocks(params.q, params.n - 1):
         for base in _lambda2_bases(params.q):
             try:
                 candidate = permutation_switching(blocks, base)
             except ValueError:
                 continue
-            if canonical_form(candidate) == target:
+            if _is_image(candidate, p.cell):
                 return SwitchingConstruction(blocks=blocks, base=base)
     return None
 
@@ -665,8 +718,8 @@ def classify_reduced_lambda2(
 
     Preconditions (ValueError): p is equitable, its second quotient
     eigenvalue is lambda_2(n, q), and every coordinate is essential.  A
-    partition that needs canonical forms beyond their guard raises
-    GuardError once the preconditions hold.
+    partition that needs the image test beyond its guard (that of
+    canonical_form) raises GuardError once the preconditions hold.
     n <= 3 is tagged SmallBase outright (set check_secondary to also
     record whether a switching construction matches).  For n >= 4 the
     cycle-pair lifting recognizer runs first, then the switching

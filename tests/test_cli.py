@@ -283,16 +283,21 @@ def test_classify_t5_small_base(tmp_path):
 
 
 def test_classify_t5_secondary_on_h25(tmp_path):
-    """The H(2, 5) lambda_2 bases come from the backtracking search, not
-    from a sweep over all 2^25 cells (about 75 s on 2 vCPUs)."""
-    # the anti-diagonal x + y = 4, the first H(2, 5) lambda_2 cell
-    doc = {"format_version": 1, "n": 2, "q": 5, "vertices": [4, 8, 12, 16, 20]}
+    """All six reduced lambda_2 classes of H(2, 5), the cells that
+    `enumerate --n 2 --q 5 --eig-index 2 --reduced-only --up-to-iso`
+    prints, are also switching outputs.  The bases come from the
+    backtracking search, not from a sweep over all 2^25 cells (about 75 s
+    on 2 vCPUs), and each candidate is tested by one pruned walk of the
+    group; comparing canonical forms took 82 s and more on some classes."""
     start = time.perf_counter()
-    code, out, err = run(["classify-t5", write_doc(tmp_path, "p.json", doc),
-                          "--check-secondary"])
+    # the first is the anti-diagonal x + y = 4
+    for cell in ("0111110", "892b130", "89aa230", "c57e370", "c57d570", "ebfebf0"):
+        doc = {"format_version": 1, "n": 2, "q": 5, "cell": cell}
+        code, out, err = run(["classify-t5", write_doc(tmp_path, f"{cell}.json", doc),
+                              "--check-secondary"])
+        assert (code, err) == (0, ""), cell
+        assert json.loads(out) == {"tag": {"kind": "small_base", "secondary_switching": True}}
     assert time.perf_counter() - start < 20.0
-    assert (code, err) == (0, "")
-    assert json.loads(out) == {"tag": {"kind": "small_base", "secondary_switching": True}}
 
 
 def test_classify_t5_preconditions(tmp_path):

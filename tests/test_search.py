@@ -356,6 +356,56 @@ def test_up_to_iso_h25_matches_orbit_union_find():
     assert [x["count"] for x in summary["quotients"]] == [1, 2, 2, 1]
 
 
+# graphs on which every pair of equitable cells of one eigenvalue index is compared
+IMAGE_GRAPHS = (GraphParams(2, 3), H32, GraphParams(2, 4), H42)
+
+
+def _lambda_cells(params, index):
+    return backtracking_enumerate(params, EnumConstraints(eigenvalue_index=index))
+
+
+def test_is_image_agrees_with_canonical_forms():
+    """_is_image(a, b.cell) holds iff a and b have the same canonical form:
+    on every pair of equitable cells of one index on four small graphs, on
+    a seeded image of each of those cells under a random automorphism and
+    a same-size two-bit swap of it, and on seeded samples of lambda_2
+    cells of H(3, 3) and H(2, 5)."""
+    rng = random.Random(10)
+    checked = positives = 0
+
+    def check(a, b_cell, same):
+        nonlocal checked, positives
+        assert search._is_image(a, b_cell) == same, (a, b_cell)
+        checked, positives = checked + 1, positives + same
+
+    for params in IMAGE_GRAPHS:
+        for index in range(params.n + 1):
+            cells = _lambda_cells(params, index)
+            forms = {p: canonical_form(p) for p in cells}
+            for a, b in itertools.combinations_with_replacement(cells, 2):
+                check(a, b.cell, forms[a] == forms[b])
+            for a in cells:
+                check(a, transform(a, random_automorphism(params, rng)).cell, True)
+                others = [v for v in range(params.vertex_count) if not a.contains(v)]
+                swapped = TwoPartition(
+                    params, a.cell ^ 1 << rng.choice(a.vertices()) ^ 1 << rng.choice(others)
+                )
+                check(a, swapped.cell, canonical_form(swapped) == forms[a])
+    # one canonical form of an H(2, 5) lambda_2 cell takes about 0.1 s
+    for params, size in ((GraphParams(3, 3), 20), (GraphParams(2, 5), 6)):
+        sample = rng.sample(_lambda_cells(params, 2), size)
+        for a, b in itertools.combinations_with_replacement(sample, 2):
+            check(a, b.cell, canonical_form(a) == canonical_form(b))
+    assert (checked, positives) == (13530, 4802)
+
+
+def test_is_image_guard():
+    """Same refusal as canonical_form, also when the cell sizes differ."""
+    p = TwoPartition.from_vertices(GraphParams(2, 6), [0])
+    with pytest.raises(search.GuardError, match="canonical form guarded to n <= 5, q <= 5"):
+        search._is_image(p, 3)
+
+
 def test_canonical_form_idempotent():
     p = eight_cycle_partition()
     rep = TwoPartition(p.params, canonical_form(p))
