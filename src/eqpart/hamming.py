@@ -250,7 +250,12 @@ class Automorphism:
 
 
 def apply_automorphism(params: GraphParams, g: Automorphism, v: int) -> int:
-    """Image of vertex v under g."""
+    """Image of vertex v under g, one vertex at a time.
+
+    Nothing in the package calls it: it is the per-vertex oracle that the
+    tests hold vertex_map, and so partitions.transform and the up-to-iso
+    orbit filter built on it, to.
+    """
     if len(g.coord_perm) != params.n or len(g.alpha_perms[0]) != params.q:
         raise ValueError("automorphism shape does not match the graph")
     x = decode_vertex(params, v)

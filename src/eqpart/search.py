@@ -12,12 +12,14 @@ for any thread count.  A cell with quotient [[a, b], [c, d]] has a
 complement with quotient [[d, c], [b, a]], so one side of each such pair
 is searched and the other is its complement.
 
-Canonical forms minimize the cell bitset over the full group of
-coordinate and symbol permutations by branch and bound; they serve the
-up-to-iso filter only.  Whether a partition is isomorphic to a given one,
-as the classification asks, is decided by one walk of the same group cut
-to the images that can still reach the given cell.  Complement swaps are
-not quotiented out: (C, complement) and (complement, C) are distinct.
+The up-to-iso filter keeps the least cell of each orbit of the group of
+coordinate and symbol permutations: the enumerated set is closed under
+that group, so a union-find over the images of its cells under the
+group's generators finds the orbits.  Whether a partition is isomorphic
+to a given one, as the classification asks, is decided by one walk of
+the whole group cut to the images that can still reach the given cell.
+Complement swaps are not quotiented out: (C, complement) and
+(complement, C) are distinct.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .eigenfunctions import (
     VertexFunction,
     classify_top_two,
 )
-from .hamming import GraphParams, eigenvalue, neighbor_table
+from .hamming import Automorphism, GraphParams, eigenvalue, neighbor_table
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
@@ -52,6 +54,7 @@ from .partitions import (
     equitable_check,
     essential_coordinates,
     predicted_cell_size,
+    transform,
 )
 
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
@@ -76,7 +79,7 @@ class EnumConstraints:
 
     At most one of quotient / eigenvalue_index may be set.  reduced_only
     keeps partitions with every coordinate essential; up_to_iso keeps one
-    canonical representative per isomorphism class.
+    representative per isomorphism class, the least cell of its orbit.
     """
 
     quotient: Optional[QuotientMatrix] = None
@@ -172,7 +175,7 @@ def brute_force_enumerate(
             continue
         out.append(p)
     if constraints.up_to_iso:
-        out = [p for p in out if _is_canonical(p)]
+        out = _orbit_minima(out)
     return out
 
 
@@ -402,11 +405,52 @@ def backtracking_enumerate(
     if constraints.reduced_only:
         out = [p for p in out if len(essential_coordinates(p)) == params.n]
     if constraints.up_to_iso:
-        out = [p for p in out if _is_canonical(p)]
+        out = _orbit_minima(out)
     return out
 
 
-# --- canonical forms and the image test -------------------------------------
+# --- isomorphism: orbit minima and the image test ---------------------------
+
+
+def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
+    """The partitions of found whose cell is the least of its orbit under
+    the graph automorphisms, in the order of found.
+
+    found is a set the group maps into itself: union-find joins each cell
+    with its image under each generator, keeping the smaller root, so each
+    class is an orbit and its root the orbit's least cell.  An image that
+    is not in found raises AssertionError: the search lost part of an
+    orbit.
+    """
+    if not found:
+        return found
+    n, q = found[0].params.n, found[0].params.q
+    coords, ident = tuple(range(1, n + 1)), tuple(range(q))
+    # the adjacent coordinate transpositions, and on coordinate 1 the symbol
+    # transposition (0 1) and the q-cycle s -> s + 1 (one map when q = 2)
+    generators = [
+        Automorphism(coords[:k] + (k + 2, k + 1) + coords[k + 2:], (ident,) * n)
+        for k in range(n - 1)
+    ] + [
+        Automorphism(coords, (alpha, *(ident,) * (n - 1)))
+        for alpha in dict.fromkeys(((1, 0, *ident[2:]), (*ident[1:], 0)))
+    ]
+    parent = {p.cell: p.cell for p in found}
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for g in generators:
+        for p in found:
+            image = transform(p, g).cell
+            if image not in parent:
+                raise AssertionError(f"image {image:#x} of cell {p.cell:#x} is missing")
+            a, b = root(p.cell), root(image)
+            parent[max(a, b)] = min(a, b)
+    return [p for p in found if root(p.cell) == p.cell]
 
 
 def _subslice(bits: int, m: int, pos: int, symbol: int, q: int) -> int:
@@ -424,38 +468,45 @@ def _subslice(bits: int, m: int, pos: int, symbol: int, q: int) -> int:
 
 
 def _check_group_guard(params: GraphParams) -> None:
-    """Refuse a graph beyond the guard of the walks over its group."""
+    """Refuse a graph beyond the guard of the walk over its group."""
     if params.n > CANONICAL_N_LIMIT or params.q > CANONICAL_Q_LIMIT:
         raise GuardError(
             f"canonical form guarded to n <= {CANONICAL_N_LIMIT}, q <= {CANONICAL_Q_LIMIT}"
         )
 
 
-def _walk_images(p: TwoPartition, cut, leaf) -> bool:
-    """Walk the images of p.cell under the graph automorphisms; True as
-    soon as leaf(image) is true, False once the walk is done.
+def _is_image(p: TwoPartition, target: int) -> bool:
+    """Whether some graph automorphism maps p.cell to target.
 
-    Each node fixes which source coordinate and symbol permutation feed the
-    target coordinates so far, most significant first; its slices are the
-    blocks of the image, each over the q^m tuples of the m coordinates
-    left.  A node is skipped when cut(slices, m) is true.  Guarded to
-    n <= 5 and q <= 5.
+    Walks the images of p.cell.  Each node fixes which source coordinate
+    and symbol permutation feed the target coordinates so far, most
+    significant first; its slices are the blocks of the image, each over
+    the q^m tuples of the m coordinates left.  Those coordinates move the
+    bit positions of every slice alike, so the columns of a node (bit j of
+    each slice in turn) must be those of the target blocks its slices
+    fill, in some order; otherwise the node is cut.  So each slice needs
+    as many members as its block (at the root, the cell sizes agree).  At
+    m = 1 the symbol permutations of the last coordinate put the columns
+    in any order, so a node that survives the cut there has an image equal
+    to target.  Guarded to n <= 5 and q <= 5.
     """
     params = p.params
     _check_group_guard(params)
     q = params.q
+    bits = format(target, f"0{params.vertex_count}b")
+    columns: dict[int, list[str]] = {}
     # target symbols q-1..0 take source symbols gamma[q-1]..gamma[0]
     orders = tuple(perm[::-1] for perm in itertools.permutations(range(q)))
 
     def descend(slices: tuple[int, ...], m: int) -> bool:
-        if m == 0:
-            k = len(slices)
-            val = 0
-            for i, b in enumerate(slices):
-                val |= b << (k - 1 - i)
-            return leaf(val)
-        if cut(slices, m):
+        length = q ** m
+        if m not in columns:
+            columns[m] = sorted(bits[j::length] for j in range(length))
+        image = "".join([format(s, f"0{length}b") for s in slices])
+        if sorted(image[j::length] for j in range(length)) != columns[m]:
             return False
+        if m == 1:
+            return True     # the last coordinate's symbols order the columns freely
         seen = set()
         for pos in range(m):
             subs = [[_subslice(s, m, pos, a, q) for a in range(q)] for s in slices]
@@ -469,73 +520,6 @@ def _walk_images(p: TwoPartition, cut, leaf) -> bool:
         return False
 
     return descend((p.cell,), params.n)
-
-
-def _least_image(p: TwoPartition, stop_below_cell: bool) -> int:
-    """The minimum cell bitset over all graph automorphisms of p, or, with
-    stop_below_cell, the first image found below p.cell if there is one.
-
-    The incumbent starts at p.cell, the identity image; a node is cut when
-    even packing each block's members into its lowest positions cannot
-    beat it.
-    """
-    q = p.params.q
-    best = p.cell
-
-    def cut(slices: tuple[int, ...], m: int) -> bool:
-        k, length = len(slices), q ** m
-        bound = 0
-        for i, s in enumerate(slices):
-            bound |= ((1 << s.bit_count()) - 1) << ((k - 1 - i) * length)
-        return bound >= best
-
-    def leaf(val: int) -> bool:
-        nonlocal best
-        if val < best:
-            best = val
-            return stop_below_cell
-        return False
-
-    _walk_images(p, cut, leaf)
-    return best
-
-
-def _is_image(p: TwoPartition, target: int) -> bool:
-    """Whether some graph automorphism maps p.cell to target.
-
-    The walk of _least_image with another cut.  The coordinates left move
-    the bit positions of every slice alike, so the columns of a node (bit
-    j of each slice in turn) must be those of the target blocks its slices
-    fill, in some order; otherwise the node is cut.  So each slice needs
-    as many members as its block (at the root, the cell sizes agree), and
-    at the last coordinate the cut is exact.  A leaf hits only if it
-    equals target.  Same guard as canonical_form.
-    """
-    q = p.params.q
-    bits = format(target, f"0{p.params.vertex_count}b")
-    columns: dict[int, list[str]] = {}
-
-    def cut(slices: tuple[int, ...], m: int) -> bool:
-        length = q ** m
-        if m not in columns:
-            columns[m] = sorted(bits[j::length] for j in range(length))
-        image = "".join([format(s, f"0{length}b") for s in slices])
-        return sorted(image[j::length] for j in range(length)) != columns[m]
-
-    return _walk_images(p, cut, target.__eq__)
-
-
-@lru_cache(maxsize=256)
-def canonical_form(p: TwoPartition) -> int:
-    """The minimum cell bitset over all graph automorphisms of p, by the
-    branch and bound of _least_image.  Guarded to n <= 5 and q <= 5."""
-    return _least_image(p, False)
-
-
-def _is_canonical(p: TwoPartition) -> bool:
-    """Whether p.cell is its own canonical form: the search stops at the
-    first smaller image.  Same guard as canonical_form."""
-    return _least_image(p, True) == p.cell
 
 
 # --- ternary function census -------------------------------------------------
@@ -678,8 +662,8 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
 
     The lifts of all 24 cycle pairs over all splits form one isomorphism
     class (test_cycle_pair_lifts_form_one_class pins this for q = 2 and 4,
-    the even q within the canonical-form guard), so the first lift decides,
-    by one pruned walk of the group (_is_image), not by canonical forms.
+    the even q within the guard of _is_image), so the first lift decides,
+    by one pruned walk of the group (_is_image).
     """
     params = p.params
     if params.n != 4 or params.q % 2:
@@ -694,13 +678,17 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
 
 def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
     """The first alphabet split, then lambda_2 base of H(2, q), whose
-    permutation switching p is an image of (_is_image), if any."""
+    permutation switching p is an image of (_is_image), if any.  A
+    switching has as many members as the extended base, so a base of
+    another size is skipped before its switching is built."""
     params = p.params
     if params.n < 2 or params.q < params.n - 1:
         return None
     _check_group_guard(params)      # refuse before building the bases
     for blocks in _ordered_alphabet_blocks(params.q, params.n - 1):
         for base in _lambda2_bases(params.q):
+            if base.size * params.q ** (params.n - 2) != p.size:
+                continue
             try:
                 candidate = permutation_switching(blocks, base)
             except ValueError:
@@ -719,7 +707,7 @@ def classify_reduced_lambda2(
     Preconditions (ValueError): p is equitable, its second quotient
     eigenvalue is lambda_2(n, q), and every coordinate is essential.  A
     partition that needs the image test beyond its guard (that of
-    canonical_form) raises GuardError once the preconditions hold.
+    _is_image) raises GuardError once the preconditions hold.
     n <= 3 is tagged SmallBase outright (set check_secondary to also
     record whether a switching construction matches).  For n >= 4 the
     cycle-pair lifting recognizer runs first, then the switching

@@ -9,7 +9,7 @@ import pytest
 
 from eqpart.cli import run_command
 from eqpart.constructions import eight_cycle_partition
-from eqpart.documents import partition_to_doc
+from eqpart.documents import hex_to_cell, partition_to_doc
 from eqpart.hamming import neighbor_table
 from eqpart.partitions import extend
 
@@ -245,6 +245,22 @@ def test_enumerate_explicit_quotient():
     assert cells == ["81", "42", "24", "18"]
 
 
+def test_enumerate_up_to_iso_needs_no_group_guard():
+    """--up-to-iso keeps the least cell of each orbit by union-find over
+    generator images, so it runs past n <= 5, q <= 5: on H(1, 6) the
+    classes are the cells {0..s-1}, one per size."""
+    code, out, err = run(["enumerate", "--n", "1", "--q", "6", "--eig-index", "1",
+                          "--up-to-iso"])
+    assert (code, err) == (0, "")
+    *docs, summary = [json.loads(line) for line in out.splitlines()]
+    assert [hex_to_cell(d["cell"], 6) for d in docs] == [1, 3, 7, 15, 31]
+    assert summary["count"] == 5
+    code, out, err = run(["enumerate", "--n", "6", "--q", "2", "--eig-index", "2",
+                          "--up-to-iso"])
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[-1])["count"] == 4
+
+
 def test_enumerate_usage_errors():
     code, _, err = run(["enumerate", "--n", "2", "--q", "2"])
     assert code == 2 and "give one of" in err
@@ -312,7 +328,7 @@ def test_classify_t5_preconditions(tmp_path):
 
 
 def test_classify_t5_guard_refusals(tmp_path):
-    """Canonical forms beyond their guard end in exit 2 with one stderr
+    """The image test beyond its guard ends in exit 2 with one stderr
     line and empty stdout; n <= 3 needs none without --check-secondary."""
     code, out, _ = run(["construct-b", "--q", "6", "--split", "0,1,2"])
     assert code == 0

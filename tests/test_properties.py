@@ -88,7 +88,7 @@ def test_complement_law(case, pick):
         assert equitable_check(TwoPartition(params, full ^ cell)).rows == ((d, c), (b, a))
 
 
-# The graphs of SMALL_GRAPHS within the canonical-form guard.
+# The graphs of SMALL_GRAPHS within the guard of the image test.
 GUARDED_GRAPHS = [params for params in SMALL_GRAPHS if params.q <= search.CANONICAL_Q_LIMIT]
 
 

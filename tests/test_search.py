@@ -1,4 +1,4 @@
-"""Enumeration routes, canonical forms, censuses, and classification."""
+"""Enumeration routes, isomorphism filters, censuses, and classification."""
 
 import concurrent.futures
 import io
@@ -8,6 +8,7 @@ import random
 import sys
 import warnings
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -16,7 +17,7 @@ from eqpart import search
 from eqpart.cli import run_command
 from eqpart.constructions import AlphabetBlocks, eight_cycle_partition, lifted_cycle_pair
 from eqpart.documents import cell_to_hex, hex_to_cell
-from eqpart.hamming import Automorphism, GraphParams, random_automorphism
+from eqpart.hamming import Automorphism, GraphParams, random_automorphism, vertex_map
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
@@ -32,7 +33,6 @@ from eqpart.search import (
     backtracking_enumerate,
     brute_force_enumerate,
     candidate_quotient_matrices,
-    canonical_form,
     classify_reduced_lambda2,
     enumerate_ternary_census,
 )
@@ -262,59 +262,66 @@ def test_reduced_only_filter():
     assert all(equitable_check(p) == QuotientMatrix(((2, 2), (2, 2))) for p in reduced)
 
 
+@lru_cache(maxsize=2)
+def _group_maps(params):
+    """vertex_map of every automorphism: every coordinate permutation with
+    every tuple of symbol permutations."""
+    n, q = params.n, params.q
+    return [
+        vertex_map(params, Automorphism(coord, alphas))
+        for coord in itertools.permutations(range(1, n + 1))
+        for alphas in itertools.product(itertools.permutations(range(q)), repeat=n)
+    ]
+
+
+def _group_minimum(p):
+    """The least image of p.cell over the whole automorphism group."""
+    vertices = p.vertices()
+    return min(sum(1 << m[v] for v in vertices) for m in _group_maps(p.params))
+
+
 def test_up_to_iso_keeps_canonical_representatives():
     reps = brute_force_enumerate(
         H42, EnumConstraints(eigenvalue_index=2, reduced_only=True, up_to_iso=True)
     )
     assert len(reps) == 1
-    assert reps[0].cell == canonical_form(reps[0])
+    assert reps[0].cell == _group_minimum(reps[0])
     reps22 = brute_force_enumerate(H22, EnumConstraints(eigenvalue_index=2, up_to_iso=True))
     assert len(reps22) == 1
 
 
-def test_canonical_form_invariance():
-    rng = random.Random(2024)
-    for p in (
-        eight_cycle_partition(),
-        TwoPartition.from_vertices(GraphParams(2, 3), [0, 4, 8]),
-        TwoPartition.from_vertices(H32, [0, 7]),
-    ):
-        cf = canonical_form(p)
-        assert cf <= p.cell
-        for _ in range(100):
-            g = random_automorphism(p.params, rng)
-            assert canonical_form(transform(p, g)) == cf
+# (graph, eigenvalue indices) on which the up-to-iso filter is held to a
+# sweep over the whole group
+ORBIT_CASES = tuple(
+    (params, range(params.n + 1))
+    for params in (H22, GraphParams(2, 3), H32, GraphParams(1, 5), GraphParams(2, 4), H42)
+) + ((GraphParams(3, 3), (2,)),)
 
 
-def _group_minimum(p):
-    """min(transform(p, g).cell) over the whole automorphism group: every
-    coordinate permutation with every tuple of symbol permutations."""
-    n, q = p.params.n, p.params.q
-    return min(
-        transform(p, Automorphism(coord, alphas)).cell
-        for coord in itertools.permutations(range(1, n + 1))
-        for alphas in itertools.product(itertools.permutations(range(q)), repeat=n)
-    )
-
-
-def _assert_least_image(p):
-    cf = canonical_form(p)
-    assert cf == _group_minimum(p), p
-    assert search._is_canonical(p) == (p.cell == cf), p
-
-
-def test_canonical_form_is_group_minimum():
-    """Branch and bound agrees with a sweep over the whole group: on every
-    proper cell of three small graphs, and on seeded cells of two more."""
-    for params in (GraphParams(2, 3), H32, GraphParams(1, 5)):
-        for cell in range(1, (1 << params.vertex_count) - 1):
-            _assert_least_image(TwoPartition(params, cell))
-    rng = random.Random(4)
-    for params in (GraphParams(2, 4), H42):
-        for _ in range(200):
-            _assert_least_image(
-                TwoPartition(params, rng.randrange(1, (1 << params.vertex_count) - 1))
-            )
+def test_up_to_iso_keeps_orbit_minima():
+    """Both routes keep exactly the group minima of the cells they
+    enumerate, with and without reduced_only; brute force runs where its
+    guard allows.  A set that lacks a generator image of a member is
+    refused."""
+    for params, indices in ORBIT_CASES:
+        minimum = {}
+        routes = [backtracking_enumerate]
+        if params.vertex_count <= search.BRUTE_FORCE_LIMIT:
+            routes.append(brute_force_enumerate)
+        for index, reduced in itertools.product(indices, (False, True)):
+            c = EnumConstraints(eigenvalue_index=index, reduced_only=reduced)
+            iso = EnumConstraints(eigenvalue_index=index, reduced_only=reduced, up_to_iso=True)
+            for route in routes:
+                found = route(params, c)
+                for p in found:
+                    if p.cell not in minimum:
+                        minimum[p.cell] = _group_minimum(p)
+                minima = sorted({minimum[p.cell] for p in found})
+                assert [p.cell for p in route(params, iso)] == minima, (params, index, route)
+    found = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2))
+    for i in (0, 30, len(found) - 1):
+        with pytest.raises(AssertionError, match="missing"):
+            search._orbit_minima(found[:i] + found[i + 1:])
 
 
 def test_up_to_iso_h25_matches_orbit_union_find():
@@ -364,8 +371,8 @@ def _lambda_cells(params, index):
     return backtracking_enumerate(params, EnumConstraints(eigenvalue_index=index))
 
 
-def test_is_image_agrees_with_canonical_forms():
-    """_is_image(a, b.cell) holds iff a and b have the same canonical form:
+def test_is_image_agrees_with_group_minima():
+    """_is_image(a, b.cell) holds iff a and b have the same group minimum:
     on every pair of equitable cells of one index on four small graphs, on
     a seeded image of each of those cells under a random automorphism and
     a same-size two-bit swap of it, and on seeded samples of lambda_2
@@ -381,7 +388,7 @@ def test_is_image_agrees_with_canonical_forms():
     for params in IMAGE_GRAPHS:
         for index in range(params.n + 1):
             cells = _lambda_cells(params, index)
-            forms = {p: canonical_form(p) for p in cells}
+            forms = {p: _group_minimum(p) for p in cells}
             for a, b in itertools.combinations_with_replacement(cells, 2):
                 check(a, b.cell, forms[a] == forms[b])
             for a in cells:
@@ -390,45 +397,20 @@ def test_is_image_agrees_with_canonical_forms():
                 swapped = TwoPartition(
                     params, a.cell ^ 1 << rng.choice(a.vertices()) ^ 1 << rng.choice(others)
                 )
-                check(a, swapped.cell, canonical_form(swapped) == forms[a])
-    # one canonical form of an H(2, 5) lambda_2 cell takes about 0.1 s
+                check(a, swapped.cell, _group_minimum(swapped) == forms[a])
     for params, size in ((GraphParams(3, 3), 20), (GraphParams(2, 5), 6)):
         sample = rng.sample(_lambda_cells(params, 2), size)
+        forms = {p: _group_minimum(p) for p in sample}
         for a, b in itertools.combinations_with_replacement(sample, 2):
-            check(a, b.cell, canonical_form(a) == canonical_form(b))
+            check(a, b.cell, forms[a] == forms[b])
     assert (checked, positives) == (13530, 4802)
 
 
 def test_is_image_guard():
-    """Same refusal as canonical_form, also when the cell sizes differ."""
+    """Refused beyond n <= 5, q <= 5, also when the cell sizes differ."""
     p = TwoPartition.from_vertices(GraphParams(2, 6), [0])
     with pytest.raises(search.GuardError, match="canonical form guarded to n <= 5, q <= 5"):
         search._is_image(p, 3)
-
-
-def test_canonical_form_idempotent():
-    p = eight_cycle_partition()
-    rep = TwoPartition(p.params, canonical_form(p))
-    assert canonical_form(rep) == rep.cell
-
-
-def test_canonical_form_does_not_merge_complements():
-    p = TwoPartition.from_vertices(H32, [0, 7])
-    assert canonical_form(p) != canonical_form(p.complement())
-
-
-def test_canonical_form_guard():
-    with pytest.raises(ValueError, match="guarded"):
-        canonical_form(TwoPartition.from_vertices(GraphParams(2, 6), [0]))
-
-
-def test_canonical_form_decides_isomorphism():
-    rng = random.Random(9)
-    p = eight_cycle_partition()
-    g = random_automorphism(p.params, rng)
-    assert canonical_form(transform(p, g)) == canonical_form(p)
-    antipodal = TwoPartition.from_vertices(H42, [0, 15])
-    assert canonical_form(antipodal) != canonical_form(p)
 
 
 def test_ternary_census_counts():
@@ -479,7 +461,7 @@ def test_classify_cycle_pair_lifting():
     assert isinstance(tag, CyclePairLifting)
     assert tag.split == frozenset({0})
     rebuilt = lifted_cycle_pair(2, tag.split, tag.cycle_pair)
-    assert canonical_form(rebuilt) == canonical_form(p)
+    assert _group_minimum(rebuilt) == _group_minimum(p)
 
 
 def test_classify_lifted_q4():
@@ -487,7 +469,8 @@ def test_classify_lifted_q4():
     tag = classify_reduced_lambda2(p)
     assert isinstance(tag, CyclePairLifting)
     rebuilt = lifted_cycle_pair(4, tag.split, tag.cycle_pair)
-    assert canonical_form(rebuilt) == canonical_form(p)
+    # H(4, 4) has 4! * (4!)^4 automorphisms, too many to sweep
+    assert search._is_image(rebuilt, p.cell)
 
 
 def test_classify_never_warns_on_reduced_h42():
@@ -515,6 +498,30 @@ def test_reduced_lambda2_classes_are_tagged():
             warnings.simplefilter("error")
             found = [classify_reduced_lambda2(p) for p in reps]
         assert [type(t) for t in found] == tags, (n, q)
+
+
+def test_counts_sum_over_essential_coordinates():
+    """T_i(n, q) = sum over m of C(n, m) R_i(m, q), at every index: each
+    index-i cell of H(n, q) extends exactly one reduced cell on its m
+    essential coordinates, and extension keeps the index.  T counts the
+    index-i cells, R the reduced ones, and R_i(m, q) = 0 for i > m."""
+    counts = {}
+
+    def count(n, q, i, reduced):
+        if i > n:
+            return 0
+        if (n, q, i, reduced) not in counts:
+            c = EnumConstraints(eigenvalue_index=i, reduced_only=reduced)
+            counts[n, q, i, reduced] = len(backtracking_enumerate(GraphParams(n, q), c))
+        return counts[n, q, i, reduced]
+
+    graphs = [(n, 2) for n in range(1, 6)] + [(2, 3), (3, 3), (2, 4), (2, 5)]
+    for n, q in graphs:
+        for i in range(n + 1):
+            total = sum(comb(n, m) * count(m, q, i, True) for m in range(1, n + 1))
+            assert count(n, q, i, False) == total, (n, q, i)
+    # the closed form at index 2 for q = 2: R_2(m, 2) = 2, 8, 24, 0 for m = 2..5
+    assert [count(m, 2, 2, True) for m in range(2, 6)] == [2, 8, 24, 0]
 
 
 def test_cycle_pair_lifts_form_one_class():
