@@ -315,9 +315,15 @@ def spectral_check(p: TwoPartition, lam: int) -> tuple[int, int] | None:
 
 def transform(p: TwoPartition, g: Automorphism) -> TwoPartition:
     """The image partition (g(C), g(C) complement)."""
-    n_bits = p.params.vertex_count
+    return TwoPartition(p.params, _image_cell(vertex_map(p.params, g), p.indicator()))
+
+
+def _image_cell(vmap: Sequence[int], members: bytes) -> int:
+    """The cell bitset of the image of the cell whose indicator is members
+    under the vertex permutation vmap (see hamming.vertex_map)."""
+    n_bits = len(members)
     # binary digits of the image cell, vertex q^n - 1 first
     digits = bytearray(b"0") * n_bits
-    for w in compress(vertex_map(p.params, g), p.indicator()):
-        digits[n_bits - 1 - w] = ord("1")
-    return TwoPartition(p.params, int(digits, 2))
+    for w in compress(vmap, members):
+        digits[n_bits - 1 - w] = 49     # ord("1")
+    return int(digits, 2)

@@ -20,6 +20,10 @@ to a given one, as the classification asks, is decided by one walk of
 the whole group cut to the images that can still reach the given cell.
 Complement swaps are not quotiented out: (C, complement) and
 (complement, C) are distinct.
+
+The ternary census classifies only the functions in the span of the top
+two eigenspaces, which a meet-in-the-middle join over the linear
+residual of the lambda_1 eigen-equation finds, and counts the rest.
 """
 
 from __future__ import annotations
@@ -46,15 +50,15 @@ from .eigenfunctions import (
     VertexFunction,
     classify_top_two,
 )
-from .hamming import Automorphism, GraphParams, eigenvalue, neighbor_table
+from .hamming import Automorphism, GraphParams, eigenvalue, neighbor_table, vertex_map
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
     TwoPartition,
+    _image_cell,
     equitable_check,
     essential_coordinates,
     predicted_cell_size,
-    transform,
 )
 
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
@@ -424,7 +428,8 @@ def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
     """
     if not found:
         return found
-    n, q = found[0].params.n, found[0].params.q
+    params = found[0].params
+    n, q = params.n, params.q
     coords, ident = tuple(range(1, n + 1)), tuple(range(q))
     # the adjacent coordinate transpositions, and on coordinate 1 the symbol
     # transposition (0 1) and the q-cycle s -> s + 1 (one map when q = 2)
@@ -443,9 +448,12 @@ def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
             c = parent[c]
         return c
 
-    for g in generators:
-        for p in found:
-            image = transform(p, g).cell
+    # each generator's vertex map once, each cell's indicator once
+    maps = [vertex_map(params, g) for g in generators]
+    for p in found:
+        members = p.indicator()
+        for vmap in maps:
+            image = _image_cell(vmap, members)
             if image not in parent:
                 raise AssertionError(f"image {image:#x} of cell {p.cell:#x} is missing")
             a, b = root(p.cell), root(image)
@@ -543,28 +551,79 @@ class TernaryCensus:
         return self.members + self.not_member
 
 
-def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
-    """Sweep all 3^(q^n) ternary functions; classify each one.
+def _ternary_members(params: GraphParams) -> Iterator[tuple[int, ...]]:
+    """The value tuples of the ternary functions in the span of the top
+    two eigenspaces, found by a meet-in-the-middle join; no guard.
 
-    classify_top_two answers NotMember exactly when the operator membership
-    test fails, so membership is not tested again here.  The two routes are
-    held to each other elsewhere: classify_top_two rebuilds every shape it
-    reports and compares it with the function (AssertionError otherwise),
-    and the census counts are checked against their closed forms in
-    test_ternary_census_counts.  Guarded to 3^(q^n) <= 2^24.
+    f is a member iff D f = 0, where D f is r = (A - lambda_1 I) f less
+    r(0) at every vertex.  D is linear, so D f is the sum of f(v) D e_v.
+    Each column D e_v is read off neighbor_table and packed in signed
+    lanes of one integer, wide enough that a sum of them is 0 only when
+    every lane is.  Tripling gives, for each half of the vertices, the
+    table key -> half-assignments; a left key k joins the right key -k.
+    """
+    n_vertices, lam = params.vertex_count, eigenvalue(params, 1)
+    # |r(w) - r(0)| <= 2 (degree + |lam|) for a ternary f, under 2^(width - 1)
+    width = (2 * (params.degree + abs(lam))).bit_length() + 1
+    repunit = sum(1 << w * width for w in range(n_vertices))
+    columns = []
+    for v, ws in enumerate(neighbor_table(params)):
+        r = sum(1 << w * width for w in ws) - (lam << v * width)
+        r0 = (1 if 0 in ws else 0) - (lam if v == 0 else 0)
+        columns.append(r - r0 * repunit)
+
+    def table(cols: list[int]) -> dict[int, list[tuple[int, ...]]]:
+        keys: dict[int, list[tuple[int, ...]]] = {0: [()]}
+        for col in cols:
+            grown: dict[int, list[tuple[int, ...]]] = {}
+            for key, heads in keys.items():
+                for x in (-1, 0, 1):
+                    grown.setdefault(key + x * col, []).extend(h + (x,) for h in heads)
+            keys = grown
+        return keys
+
+    half = n_vertices // 2
+    right = table(columns[half:])
+    for key, heads in table(columns[:half]).items():
+        for tail in right.get(-key, ()):
+            for head in heads:
+                yield head + tail
+
+
+def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
+    """Classify every ternary function in the span of the top two
+    eigenspaces; the other 3^(q^n) - members count as not members.
+
+    Four checks certify the counts:
+    - the join of _ternary_members, over residual columns built from
+      neighbor_table, finds the members;
+    - classify_top_two runs on each one.  Its operator test reads the
+      separate kernel residual_witness, so a joined function it refuses
+      raises AssertionError here, and it rebuilds every shape it reports
+      (AssertionError otherwise);
+    - test_ternary_members_match_operator_sweep holds the joined set to
+      the operator test on every ternary function of small graphs, so
+      the join misses no member there;
+    - test_ternary_census_counts holds the counts to their closed form
+      3 + n(3^q - 3) + C(n, 2)(2^q - 2)^2.
+
+    Guarded to 3^(q^n) <= 2^24.
     """
     n_vertices = params.vertex_count
     # 3^15 <= 2^24 < 3^16: refuse larger graphs before computing the power
     if n_vertices > 15 or 3 ** n_vertices > TERNARY_SWEEP_LIMIT:
         raise GuardError(f"ternary sweep guarded to 3^(q^n) <= {TERNARY_SWEEP_LIMIT}")
-    counts = {Constant: 0, QuasiString: 0, QuasiCross: 0, NotMember: 0}
-    for values in itertools.product((-1, 0, 1), repeat=n_vertices):
-        counts[type(classify_top_two(VertexFunction(params, values)))] += 1
+    counts = {Constant: 0, QuasiString: 0, QuasiCross: 0}
+    for values in _ternary_members(params):
+        form = classify_top_two(VertexFunction(params, values))
+        if isinstance(form, NotMember):
+            raise AssertionError(f"the residual join and the operator test disagree on {values}")
+        counts[type(form)] += 1
     return TernaryCensus(
         constants=counts[Constant],
         quasi_strings=counts[QuasiString],
         quasi_crosses=counts[QuasiCross],
-        not_member=counts[NotMember],
+        not_member=3 ** n_vertices - sum(counts.values()),
     )
 
 

@@ -17,6 +17,14 @@ from eqpart import search
 from eqpart.cli import run_command
 from eqpart.constructions import AlphabetBlocks, eight_cycle_partition, lifted_cycle_pair
 from eqpart.documents import cell_to_hex, hex_to_cell
+from eqpart.eigenfunctions import (
+    Constant,
+    QuasiCross,
+    QuasiString,
+    VertexFunction,
+    classify_top_two,
+    in_top_two_eigenspaces,
+)
 from eqpart.hamming import Automorphism, GraphParams, random_automorphism, vertex_map
 from eqpart.partitions import (
     QuotientMatrix,
@@ -433,6 +441,44 @@ def test_ternary_census_guard():
         enumerate_ternary_census(GraphParams(2, 4))
 
 
+def test_ternary_members_match_operator_sweep():
+    """The join finds exactly the ternary functions that the operator test
+    of the top-two span accepts, each once, on every graph the census
+    sweeps in the suite."""
+    for n, q in ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)):
+        params = GraphParams(n, q)
+        members = list(search._ternary_members(params))
+        swept = {
+            values
+            for values in itertools.product((-1, 0, 1), repeat=params.vertex_count)
+            if in_top_two_eigenspaces(VertexFunction(params, values))
+        }
+        assert len(members) == len(set(members)), (n, q)
+        assert set(members) == swept, (n, q)
+
+
+def test_ternary_census_refuses_a_joined_non_member(monkeypatch):
+    """A function the join yields but the operator test refuses is a
+    disagreement between the two, not a count."""
+    monkeypatch.setattr(search, "_ternary_members", lambda params: iter([(1, 0, 0, 0)]))
+    with pytest.raises(AssertionError, match="disagree"):
+        enumerate_ternary_census(H22)
+
+
+def test_ternary_members_beyond_the_guard():
+    """On H(2, 4) and H(4, 2), past the census guard, every joined member
+    classifies without error, into the closed-form counts: 355 and 51
+    members."""
+    for (n, q), counts in {(2, 4): (3, 156, 196), (4, 2): (3, 24, 24)}.items():
+        assert counts == (3, n * (3 ** q - 3), comb(n, 2) * (2 ** q - 2) ** 2)
+        params = GraphParams(n, q)
+        forms = Counter(
+            type(classify_top_two(VertexFunction(params, values)))
+            for values in search._ternary_members(params)
+        )
+        assert forms == dict(zip((Constant, QuasiString, QuasiCross), counts)), (n, q)
+
+
 def test_classify_preconditions():
     with pytest.raises(ValueError, match="not equitable"):
         classify_reduced_lambda2(TwoPartition.from_vertices(H42, [0]))
@@ -490,6 +536,7 @@ def test_reduced_lambda2_classes_are_tagged():
         (3, 3): [SmallBase, SmallBase],
         (4, 2): [CyclePairLifting],
         (5, 2): [], (4, 3): [], (6, 2): [],
+        (5, 3): [], (7, 2): [], (8, 2): [],
     }
     c = EnumConstraints(eigenvalue_index=2, reduced_only=True, up_to_iso=True)
     for (n, q), tags in expected.items():
@@ -504,7 +551,8 @@ def test_counts_sum_over_essential_coordinates():
     """T_i(n, q) = sum over m of C(n, m) R_i(m, q), at every index: each
     index-i cell of H(n, q) extends exactly one reduced cell on its m
     essential coordinates, and extension keeps the index.  T counts the
-    index-i cells, R the reduced ones, and R_i(m, q) = 0 for i > m."""
+    index-i cells, R the reduced ones, and R_i(m, q) = 0 for i > m.
+    H(4, 3) leaves out index 3: its 60,144 cells take about 8 s."""
     counts = {}
 
     def count(n, q, i, reduced):
@@ -516,8 +564,9 @@ def test_counts_sum_over_essential_coordinates():
         return counts[n, q, i, reduced]
 
     graphs = [(n, 2) for n in range(1, 6)] + [(2, 3), (3, 3), (2, 4), (2, 5)]
-    for n, q in graphs:
-        for i in range(n + 1):
+    cases = [(n, q, range(n + 1)) for n, q in graphs] + [(4, 3, (0, 1, 2, 4))]
+    for n, q, indices in cases:
+        for i in indices:
             total = sum(comb(n, m) * count(m, q, i, True) for m in range(1, n + 1))
             assert count(n, q, i, False) == total, (n, q, i)
     # the closed form at index 2 for q = 2: R_2(m, 2) = 2, 8, 24, 0 for m = 2..5
