@@ -154,9 +154,11 @@ def function_from_doc(doc: Mapping[str, Any]) -> VertexFunction:
 
 
 def load_json(text: str) -> Any:
+    # JSONDecodeError is a ValueError; so is an integer of more digits than
+    # int() converts, and nesting too deep for the decoder is a RecursionError
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
 
 

@@ -9,8 +9,9 @@ quotient eigenvalue lam satisfies, and takes every other vertex from its
 row.  It is sharded at the states it reaches at a fixed vertex; shards
 can run in worker processes, and their merged, sorted union is identical
 for any thread count.  A cell with quotient [[a, b], [c, d]] has a
-complement with quotient [[d, c], [b, a]], so one side of each such pair
-is searched and the other is its complement.
+complement with quotient [[d, c], [b, a]], so each candidate and this
+partner are searched only over the cells that hold vertex 0, and every
+other cell is the complement of one found.
 
 The up-to-iso filter keeps the least cell of each orbit of the group of
 coordinate and symbol permutations: the enumerated set is closed under
@@ -71,6 +72,7 @@ TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
 CANONICAL_N_LIMIT = 5
 CANONICAL_Q_LIMIT = 5
 _SHARD_DEPTH = 10               # shards are the live states at this vertex
+_Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
 
 
 class GuardError(ValueError):
@@ -315,43 +317,37 @@ def _walk(
     return found
 
 
-def _search_shard(shard: tuple[GraphParams, int, int, int, tuple[int, int, int]]) -> list[int]:
+def _search_shard(shard: tuple[GraphParams, _Rows, int, tuple[int, int, int]]) -> list[int]:
     """All cells the search completes from one live state, as ints.
 
-    shard is (params, s11, s21, size_c, state), state one of those that
-    _walk reaches at the shard depth; see _live_shards.
+    shard is (params, quotient rows, size_c, state), state one of those
+    that _walk reaches at the shard depth; see _live_shards.
     """
-    params, s11, s21, size_c, state = shard
+    params, ((s11, _), (s21, _)), size_c, state = shard
     return [cell for _, cell, _ in _walk(params, s11, s21, size_c, state, params.vertex_count)]
 
 
-def _live_shards(
-    params: GraphParams, candidates: tuple[QuotientMatrix, ...], paired: bool
-) -> list[tuple[GraphParams, int, int, int, tuple[int, int, int]]]:
-    """The shards of the searched candidates: for each, in candidate order,
-    the states the search reaches at vertex min(q^n, _SHARD_DEPTH), sorted,
-    so the list is the same for every thread count.
+def _partner(rows: _Rows) -> _Rows:
+    """The complement's quotient rows: [[a, b], [c, d]] -> [[d, c], [b, a]]."""
+    (a, b), (c, d) = rows
+    return (d, c), (b, a)
 
-    With paired set, a candidate whose partner [[d, c], [b, a]] has the
-    smaller cell is skipped, and a self-paired one starts from its state
-    with vertex 0 in C; see backtracking_enumerate.
-    """
-    n_vertices = params.vertex_count
-    depth = min(n_vertices, _SHARD_DEPTH)
+
+def _live_shards(
+    params: GraphParams, searched: tuple[_Rows, ...]
+) -> list[tuple[GraphParams, _Rows, int, tuple[int, int, int]]]:
+    """The shards of the searched quotient rows: for each, in order, the
+    states with vertex 0 in C that the search reaches at vertex
+    min(q^n, _SHARD_DEPTH), sorted, so the list is the same for every
+    thread count."""
+    depth = min(params.vertex_count, _SHARD_DEPTH)
     shards = []
-    for s in candidates:
-        (s11, s12), (s21, s22) = s.rows
-        size = int(predicted_cell_size(s, params))
-        self_paired = (s11, s12) == (s22, s21)
-        # the partner's cells have n_vertices * b / (b + c) vertices, so
-        # equal sizes would need b = c and a = d: no tie reaches here
-        if paired and not self_paired and 2 * size > n_vertices:
-            continue        # found as the complements of the partner's cells
-        roots = _walk(params, s11, s21, size, (0, 0, 0), 1)
-        if paired and self_paired:
-            roots = [r for r in roots if r[1] & 1]
+    for rows in searched:
+        (s11, _), (s21, _) = rows
+        size = int(predicted_cell_size(QuotientMatrix(rows), params))
+        roots = [r for r in _walk(params, s11, s21, size, (0, 0, 0), 1) if r[1] & 1]
         states = sorted(x for r in roots for x in _walk(params, s11, s21, size, r, depth))
-        shards.extend((params, s11, s21, size, x) for x in states)
+        shards.extend((params, rows, size, x) for x in states)
     return shards
 
 
@@ -364,12 +360,13 @@ def backtracking_enumerate(
     eigenvalue index by backtracking over vertex assignments, forcing
     every vertex that an echelon row of (A - lam I) x = s21 * 1 determines.
 
-    The complement of a cell with quotient [[a, b], [c, d]] has quotient
-    [[d, c], [b, a]].  When the partner of every candidate is a candidate,
-    only the member of each pair with the smaller cell is searched, a
-    self-paired candidate (a = d, b = c) only over the cells that contain
-    vertex 0, and the complements of the cells found are added.  Otherwise
-    (an explicit quotient that is not self-paired) it is searched in full.
+    The complement of a cell with quotient rows r = [[a, b], [c, d]] has
+    quotient rows partner(r) = [[d, c], [b, a]], with the same lam.  Every
+    row set in the candidates W and their partners is searched only over
+    the cells with vertex 0 in C; a cell found is kept when its rows are in
+    W, and its complement when their partner is.  So each cell with rows
+    in W is found: it holds vertex 0, or its complement holds it and has
+    the partner rows.
 
     The search is split at the live states of a fixed depth into shards
     whose results are merged and sorted, so the output is identical for
@@ -384,27 +381,25 @@ def backtracking_enumerate(
         raise GuardError(
             f"backtracking search guarded to q^n <= {BACKTRACK_LIMIT}, got {n_vertices}"
         )
-    candidates = candidate_quotient_matrices(params, constraints)
-    rows = {s.rows for s in candidates}
-    # true for every eigenvalue index; for an explicit quotient iff self-paired
-    paired = {((r[1][1], r[1][0]), (r[0][1], r[0][0])) for r in rows} == rows
-    shards = _live_shards(params, candidates, paired)
-    cells: set[int] = set()
+    kept = [s.rows for s in candidate_quotient_matrices(params, constraints)]
+    shards = _live_shards(params, tuple(dict.fromkeys(kept + [_partner(r) for r in kept])))
     workers = min(threads, os.cpu_count() or 1, len(shards))
     if workers <= 1:
-        for shard in shards:
-            cells.update(_search_shard(shard))
+        results = map(_search_shard, shards)
     else:
         # imported here so that no other command pays for multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunksize = max(1, len(shards) // (8 * workers))
-            for chunk in ex.map(_search_shard, shards, chunksize=chunksize):
-                cells.update(chunk)
-    if paired:
-        full = (1 << n_vertices) - 1
-        cells |= {full ^ cell for cell in cells}
+            results = list(ex.map(_search_shard, shards, chunksize=chunksize))
+    full = (1 << n_vertices) - 1
+    cells: set[int] = set()
+    for (_, rows, _, _), found in zip(shards, results):
+        if rows in kept:
+            cells.update(found)
+        if _partner(rows) in kept:
+            cells.update(full ^ cell for cell in found)
     out = [TwoPartition(params, c) for c in sorted(cells)]
     if constraints.reduced_only:
         out = [p for p in out if len(essential_coordinates(p)) == params.n]

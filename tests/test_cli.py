@@ -99,6 +99,18 @@ def test_verify_missing_file():
     assert code == 2 and "cannot read" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "classify-fn", "reduce"])
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, "9" * 5000], ids=["deep_array", "long_integer"]
+)
+def test_malformed_json_is_refused_in_one_line(command, text, monkeypatch):
+    """JSON nested beyond the decoder's recursion limit, and an integer with
+    more digits than int() converts, end with exit 2 and one error line."""
+    code, out, err = run([command, "-"], stdin_text=text, monkeypatch=monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+
 def test_construct_a(tmp_path):
     base = {
         "format_version": 1, "n": 2, "q": 4,

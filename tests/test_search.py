@@ -92,6 +92,13 @@ def test_brute_force_guard():
         brute_force_enumerate(GraphParams(3, 3), EnumConstraints(eigenvalue_index=2))
 
 
+def searched_rows(params, constraints):
+    """The quotient rows backtracking_enumerate searches: the candidates,
+    then the partners that are not candidates."""
+    rows = [s.rows for s in candidate_quotient_matrices(params, constraints)]
+    return tuple(dict.fromkeys(rows + [search._partner(r) for r in rows]))
+
+
 def test_backtracking_matches_brute_force():
     for params in (H22, GraphParams(2, 3), H32):
         for i in range(params.n + 1):
@@ -111,9 +118,10 @@ def test_backtracking_explicit_quotient():
 
 def test_backtracking_explicit_candidates_match_brute_force():
     """Each candidate of every index, given as an explicit quotient, is
-    searched in full: a self-paired one over the cells that contain vertex
-    0 plus their complements, any other one with no complements added,
-    because its partner is not a candidate then."""
+    found by the one rule: it and its partner are searched over the cells
+    that hold vertex 0, its own cells are kept and the partner's are
+    complemented, so a quotient that is not self-paired gets only its own
+    cells."""
     self_paired = 0
     for params in ROUTE_GRAPHS:
         for i in range(params.n + 1):
@@ -134,10 +142,27 @@ def test_backtracking_threads_do_not_change_output():
     assert single == double
     # H(3, 3) has more live shards than workers, so these run a real pool
     params = GraphParams(3, 3)
-    assert len(search._live_shards(params, candidate_quotient_matrices(params, c), True)) > 8
+    assert len(search._live_shards(params, searched_rows(params, c))) > 8
     runs = [[p.cell for p in backtracking_enumerate(params, c, threads=t)] for t in (1, 2, 8)]
     assert len(runs[0]) == 180
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_live_shards_hold_vertex_0():
+    """Every live shard has vertex 0 in C, for an index and for an explicit
+    quotient whose partner is not a candidate, and searching each pair's
+    two sides so costs the shards of searching one side in full."""
+    c = EnumConstraints(eigenvalue_index=2)
+    for params, count in ((GraphParams(4, 3), 257), (GraphParams(2, 5), 120),
+                          (GraphParams(3, 4), 1220)):
+        shards = search._live_shards(params, searched_rows(params, c))
+        assert len(shards) == count, params
+        assert all(cell & 1 for *_, (_, cell, _) in shards), params
+    explicit = EnumConstraints(quotient=QuotientMatrix(((0, 3), (1, 2))))
+    rows = searched_rows(H32, explicit)
+    assert rows == (((0, 3), (1, 2)), ((2, 1), (3, 0)))
+    shards = search._live_shards(H32, rows)
+    assert shards and all(cell & 1 for *_, (_, cell, _) in shards)
 
 
 def test_worker_processes_are_capped(monkeypatch):
@@ -163,7 +188,7 @@ def test_worker_processes_are_capped(monkeypatch):
     c = EnumConstraints(eigenvalue_index=2)
 
     def shard_count(params):
-        return len(search._live_shards(params, candidate_quotient_matrices(params, c), True))
+        return len(search._live_shards(params, searched_rows(params, c)))
 
     expected = [p.cell for p in backtracking_enumerate(H42, c)]
     assert pools == []
