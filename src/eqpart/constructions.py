@@ -1,11 +1,8 @@
 """Constructions of equitable 2-partitions with second eigenvalue
-lambda_2(n, q), and the clique-balance conditions behind them.
+lambda_2(n, q).
 
-Three building blocks:
+Two building blocks:
 
-* grid balance: on the product of two cliques K_q x K_q2 (the rook's
-  graph), a 2-partition is equitable with eigenvalue -2 iff every maximal
-  clique meets the cell in the same fraction of its size;
 * permutation switching: a balanced base partition of H(2, q) is extended
   by nonessential coordinates and each alphabet-block slice is switched by
   a coordinate transposition, preserving the quotient matrix;
@@ -24,14 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .hamming import GraphParams, decode_vertex, neighbor_table
+from .hamming import Automorphism, GraphParams, digit_masks, digit_table, neighbor_table
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
     TwoPartition,
     equitable_check,
     extend,
+    pull,
     quotient_eigenvalue_indices,
+    transform,
 )
 
 
@@ -83,106 +82,6 @@ class LiftBlocks(AlphabetBlocks):
         return len(self.blocks[0])
 
 
-@dataclass(frozen=True)
-class GridImbalance:
-    """A maximal clique of the grid meeting the cell in the wrong ratio."""
-
-    clique: tuple[str, int]  # ("row", a) or ("column", b)
-    ratio: Fraction
-
-
-def _grid_cell_bits(q: int, q2: int, cell: Iterable[tuple[int, int]]) -> int:
-    bits = 0
-    for a, b in cell:
-        if not (0 <= a < q and 0 <= b < q2):
-            raise ValueError(f"grid vertex ({a}, {b}) out of range")
-        bits |= 1 << (a * q2 + b)
-    return bits
-
-
-def grid_quotient(
-    q: int, q2: int, cell: Iterable[tuple[int, int]]
-) -> QuotientMatrix | NotEquitable:
-    """Equitability of a 2-partition of the rook's graph K_q x K_q2.
-
-    Vertices are the grid points (a, b), adjacent iff they share a row or
-    a column.  Same result convention as equitable_check.
-    """
-    if q < 2 or q2 < 2:
-        raise ValueError("need q, q2 >= 2")
-    bits = _grid_cell_bits(q, q2, cell)
-    total = q * q2
-    if bits == 0 or bits == (1 << total) - 1:
-        raise ValueError("both cells must be nonempty")
-    ref: list[tuple[int, int] | None] = [None, None]
-    ref_vertex = [0, 0]
-    for v in range(total):
-        a, b = divmod(v, q2)
-        in_c = 0
-        for b2 in range(q2):
-            if b2 != b:
-                in_c += (bits >> (a * q2 + b2)) & 1
-        for a2 in range(q):
-            if a2 != a:
-                in_c += (bits >> (a2 * q2 + b)) & 1
-        deg = q + q2 - 2
-        counts = (in_c, deg - in_c)
-        c = 0 if (bits >> v) & 1 else 1
-        if ref[c] is None:
-            ref[c] = counts
-            ref_vertex[c] = v
-        elif counts != ref[c]:
-            seen = ref[c]
-            j = 0 if seen[0] != counts[0] else 1
-            return NotEquitable(
-                cell=c, vertices=(ref_vertex[c], v), target_cell=j,
-                counts=(seen[j], counts[j]),
-            )
-    return QuotientMatrix(tuple(row for row in ref if row is not None))
-
-
-def grid_clique_balance(
-    q: int, q2: int, cell: Iterable[tuple[int, int]]
-) -> QuotientMatrix | GridImbalance:
-    """Even clique distribution test on the rook's graph K_q x K_q2.
-
-    Passes iff every row {a} x {0..q2-1} and every column {0..q-1} x {b}
-    meets the cell in the same fraction rho of its size, which happens iff
-    the 2-partition is equitable with eigenvalue -2.  On pass, returns the
-    quotient matrix
-
-        [[rho(q+q2) - 2,  (1-rho)(q+q2)],
-         [rho(q+q2),      (1-rho)(q+q2) - 2]].
-
-    Rows are examined before columns, each in ascending index order, and
-    the first clique off the common ratio is reported.
-    """
-    if q < 2 or q2 < 2:
-        raise ValueError("need q, q2 >= 2")
-    cell = list(cell)
-    bits = _grid_cell_bits(q, q2, cell)
-    total = q * q2
-    if bits == 0 or bits == (1 << total) - 1:
-        raise ValueError("both cells must be nonempty")
-    rho = Fraction(bits.bit_count(), total)
-    for a in range(q):
-        cnt = sum((bits >> (a * q2 + b)) & 1 for b in range(q2))
-        if Fraction(cnt, q2) != rho:
-            return GridImbalance(("row", a), Fraction(cnt, q2))
-    for b in range(q2):
-        cnt = sum((bits >> (a * q2 + b)) & 1 for a in range(q))
-        if Fraction(cnt, q) != rho:
-            return GridImbalance(("column", b), Fraction(cnt, q))
-    s21 = rho * (q + q2)
-    s12 = (1 - rho) * (q + q2)
-    if s21.denominator != 1 or s12.denominator != 1:
-        raise AssertionError("balanced ratio must give integer quotient entries")
-    s = QuotientMatrix(((int(s21) - 2, int(s12)), (int(s21), int(s12) - 2)))
-    if grid_quotient(q, q2, cell) != s:
-        raise AssertionError("balanced cell failed the direct equitability check")
-    return s
-
-
 def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPartition:
     """Switch an extended base partition of H(2, q) along alphabet blocks.
 
@@ -206,16 +105,18 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
     if blocks.q != q:
         raise ValueError("blocks must partition the alphabet of the base")
     rho = Fraction(base.size, q * q)
+    rows, columns = digit_masks(params)
     for i, block in enumerate(blocks.blocks, 1):
         for a in sorted(block):
-            cnt = sum(1 for b in range(q) if base.contains(a * q + b))
+            cnt = (base.cell & rows[a]).bit_count()
             if Fraction(cnt, q) != rho:
                 raise ValueError(
                     f"row {a} of block {i} meets the cell in ratio {Fraction(cnt, q)}, "
                     f"expected {rho}"
                 )
+        block_rows = sum(rows[a] for a in block)
         for b in range(q):
-            cnt = sum(1 for a in block if base.contains(a * q + b))
+            cnt = (base.cell & block_rows & columns[b]).bit_count()
             if Fraction(cnt, len(block)) != rho:
                 raise ValueError(
                     f"column {b} of block {i} meets the cell in ratio "
@@ -229,14 +130,14 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
     if n == 2:
         return extended
     new_params = extended.params
-    block_of = blocks.block_of()
+    slices = digit_masks(new_params)[0]
+    coords, ident = list(range(1, n + 1)), (tuple(range(q)),) * n
     bits = 0
-    for v in range(new_params.vertex_count):
-        digits = decode_vertex(new_params, v)
-        i = block_of[digits[0]]
-        partner = 1 if i == 0 else i + 1  # 0-based tuple position of coordinate 2 or i+2
-        if base.contains(digits[0] * q + digits[partner]):
-            bits |= 1 << v
+    for i, block in enumerate(blocks.blocks, 1):
+        swap = coords.copy()
+        swap[1], swap[i] = swap[i], swap[1]     # coordinates 2 and i+1
+        image = transform(extended, Automorphism(tuple(swap), ident))
+        bits |= image.cell & sum(slices[a] for a in block)
     switched = TwoPartition(new_params, bits)
     s_out = equitable_check(switched)
     if s_out != s_ref:
@@ -258,19 +159,17 @@ def lift_two_partition(p: TwoPartition, blocks: LiftBlocks) -> TwoPartition:
     if isinstance(s_base, NotEquitable):
         raise ValueError("input partition is not equitable")
     m = blocks.block_size
-    new_params = GraphParams(params.n, blocks.q)
+    n, q = params.n, params.q
+    new_params = GraphParams(n, blocks.q)
     block_of = blocks.block_of()
-    # block_word[v]: the base vertex spelled by the blocks of v's symbols
-    block_word = [0]
-    for _ in range(params.n):
-        block_word = [w * params.q + block_of[x] for w in block_word for x in range(blocks.q)]
-    inside = p.indicator()
-    lifted = TwoPartition(
-        new_params, int("".join("01"[inside[w]] for w in reversed(block_word)), 2)
+    # the base vertex spelled by the blocks of a lifted vertex's symbols
+    block_word = digit_table(
+        new_params, [[block_of[x] * q ** (n - k) for x in range(blocks.q)] for k in range(1, n + 1)]
     )
+    lifted = pull(p, new_params, block_word)
     s_out = equitable_check(lifted)
     (s11, s12), (s21, s22) = s_base.rows
-    shift = params.n * (m - 1)
+    shift = n * (m - 1)
     expected = QuotientMatrix(((m * s11 + shift, m * s12), (m * s21, m * s22 + shift)))
     if s_out != expected:
         raise AssertionError("lifted partition has an unexpected quotient matrix")

@@ -11,11 +11,13 @@ and the quasi-crosses (supported on two).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Union
 
 from .hamming import (
     GraphParams,
     coordinate_stride,
+    digit_table,
     eigenvalue,
     essential_coordinates_of_values,
     residual_witness,
@@ -65,13 +67,13 @@ def restrict(f: VertexFunction, k: int, symbol: int) -> VertexFunction:
         raise ValueError("restriction needs n >= 2")
     if not 0 <= symbol < params.q:
         raise ValueError(f"symbol {symbol} outside [0, {params.q})")
-    stride = coordinate_stride(params, k)
-    new_params = GraphParams(params.n - 1, params.q)
-    vals = []
-    for w in range(new_params.vertex_count):
-        high, low = divmod(w, stride)
-        vals.append(f.values[(high * params.q + symbol) * stride + low])
-    return VertexFunction(new_params, tuple(vals))
+    n, q = params.n, params.q
+    offset = symbol * coordinate_stride(params, k)
+    new_params = GraphParams(n - 1, q)
+    # the digits of a restricted vertex fill the coordinates other than k
+    terms = [[a * q ** (n - c) for a in range(q)] for c in range(1, n + 1) if c != k]
+    terms[0] = [t + offset for t in terms[0]]
+    return VertexFunction(new_params, itemgetter(*digit_table(new_params, terms))(f.values))
 
 
 def restriction_difference(f: VertexFunction, k: int, a: int, b: int) -> VertexFunction:
@@ -101,12 +103,10 @@ def quasi_string(
         raise ValueError("plus and minus sets must be disjoint")
     if not (plus | minus):
         raise ValueError("plus and minus sets must not both be empty")
-    stride = coordinate_stride(params, k)
-    vals = []
-    for v in range(params.vertex_count):
-        x = (v // stride) % params.q
-        vals.append(1 if x in plus else -1 if x in minus else 0)
-    return VertexFunction(params, tuple(vals))
+    coordinate_stride(params, k)    # refuses a coordinate outside 1..n
+    terms = [[0] * params.q for _ in range(params.n)]
+    terms[k - 1] = [1 if x in plus else -1 if x in minus else 0 for x in range(params.q)]
+    return VertexFunction(params, digit_table(params, terms))
 
 
 def quasi_cross(
@@ -121,8 +121,8 @@ def quasi_cross(
 
     plus and minus must both be nonempty and i != j.  It is a
     lambda_1(n, q)-eigenfunction iff |plus| = |minus| (a cross), and it is
-    the sum of the (plus, complement, i)- and (complement, minus, j)-quasi
-    strings.
+    half the sum of the (plus, complement, i)- and (complement, minus,
+    j)-quasi strings: [x_i in plus] - [x_j in minus].
     """
     plus, minus = frozenset(plus), frozenset(minus)
     _check_symbols(params, plus | minus)
@@ -130,15 +130,12 @@ def quasi_cross(
         raise ValueError("plus and minus sets must both be nonempty")
     if i == j:
         raise ValueError("the two coordinates must differ")
-    si = coordinate_stride(params, i)
-    sj = coordinate_stride(params, j)
-    q = params.q
-    vals = []
-    for v in range(params.vertex_count):
-        in_plus = ((v // si) % q) in plus
-        in_minus = ((v // sj) % q) in minus
-        vals.append(1 if in_plus and not in_minus else -1 if not in_plus and in_minus else 0)
-    return VertexFunction(params, tuple(vals))
+    coordinate_stride(params, i)    # each refuses a coordinate outside 1..n
+    coordinate_stride(params, j)
+    terms = [[0] * params.q for _ in range(params.n)]
+    terms[i - 1] = [1 if x in plus else 0 for x in range(params.q)]
+    terms[j - 1] = [-1 if x in minus else 0 for x in range(params.q)]
+    return VertexFunction(params, digit_table(params, terms))
 
 
 def _check_symbols(params: GraphParams, symbols: Iterable[int]) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # Hard ceiling on q^n so vertex indices stay comfortably machine-sized.
 MAX_VERTICES = 1 << 32
@@ -133,6 +133,24 @@ def digit_masks(params: GraphParams) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def digit_table(
+    params: GraphParams, terms: Sequence[Sequence[int]]
+) -> tuple[int, ...]:
+    """table[v] = sum over k of terms[k-1][x_k], for every vertex v.
+
+    Every map between vertex sets that acts digit by digit (deleting or
+    reordering coordinates, renaming symbols) is such a table, and so is
+    every function of the digits that is a sum of one term per coordinate.
+    The table grows one coordinate at a time, most significant first.
+    """
+    if len(terms) != params.n or any(len(t) != params.q for t in terms):
+        raise ValueError(f"need {params.n} terms of {params.q} entries each")
+    table = [0]
+    for t in terms:
+        table = [w + x for w in table for x in t]
+    return tuple(table)
+
+
 def residual_witness(
     params: GraphParams, values: Sequence[int], lam: int
 ) -> tuple[int, int | None]:
@@ -187,35 +205,26 @@ def residual_witness(
     return r0, ((diff & -diff).bit_length() - 1) // width if diff else None
 
 
-def line_cliques(params: GraphParams, k: int) -> Iterator[tuple[int, ...]]:
-    """The q^(n-1) maximal cliques in direction k.
-
-    Each clique is the set of q vertices agreeing everywhere except in
-    coordinate k, yielded as an ascending vertex tuple; the cliques are
-    yielded in ascending order of their smallest vertex.
-    """
-    stride = coordinate_stride(params, k)
-    q = params.q
-    for base in range(params.vertex_count):
-        if (base // stride) % q == 0:
-            yield tuple(base + s * stride for s in range(q))
-
-
 def essential_coordinates_of_values(
     params: GraphParams, values: Sequence[int]
 ) -> frozenset[int]:
     """Coordinates k such that some line in direction k is non-constant.
 
     A coordinate missing from the result can be deleted without changing
-    the function of the remaining coordinates.
+    the function of the remaining coordinates.  With s = q^(n-k), every
+    line in direction k is constant iff, within each period of q*s
+    vertices, the values of x_k < q - 1 equal those one stride later.
     """
-    ess = set()
+    q, n_vertices = params.q, params.vertex_count
+    ess = []
     for k in range(1, params.n + 1):
-        for line in line_cliques(params, k):
-            v0 = values[line[0]]
-            if any(values[w] != v0 for w in line[1:]):
-                ess.add(k)
-                break
+        s = q ** (params.n - k)
+        period = q * s
+        if any(
+            values[b:b + period - s] != values[b + s:b + period]
+            for b in range(0, n_vertices, period)
+        ):
+            ess.append(k)
     return frozenset(ess)
 
 
@@ -253,8 +262,8 @@ def apply_automorphism(params: GraphParams, g: Automorphism, v: int) -> int:
     """Image of vertex v under g, one vertex at a time.
 
     Nothing in the package calls it: it is the per-vertex oracle that the
-    tests hold vertex_map, and so partitions.transform and the up-to-iso
-    orbit filter built on it, to.
+    tests hold vertex_map, the up-to-iso orbit filter built on it, and
+    partitions.transform to.
     """
     if len(g.coord_perm) != params.n or len(g.alpha_perms[0]) != params.q:
         raise ValueError("automorphism shape does not match the graph")
@@ -268,20 +277,17 @@ def apply_automorphism(params: GraphParams, g: Automorphism, v: int) -> int:
 def vertex_map(params: GraphParams, g: Automorphism) -> tuple[int, ...]:
     """The full vertex permutation induced by g, as a lookup tuple.
 
-    Equal to apply_automorphism at every vertex.  The image index is a sum
-    of one term per source coordinate, so the table grows one source
-    coordinate at a time, most significant first.
+    Equal to apply_automorphism at every vertex: the image index is a sum
+    of one term per source coordinate, a digit_table.
     """
     n, q = params.n, params.q
     if len(g.coord_perm) != n or len(g.alpha_perms[0]) != q:
         raise ValueError("automorphism shape does not match the graph")
-    table = [0]
-    for j in range(1, n + 1):
-        k = g.coord_perm.index(j) + 1  # the target coordinate fed by source j
-        stride = q ** (n - k)
-        terms = [a * stride for a in g.alpha_perms[k - 1]]
-        table = [w + t for w in table for t in terms]
-    return tuple(table)
+    # source coordinate j feeds the target coordinate k with pi(k) = j
+    return digit_table(params, [
+        [a * q ** (n - k) for a in g.alpha_perms[k - 1]]
+        for k in (g.coord_perm.index(j) + 1 for j in range(1, n + 1))
+    ])
 
 
 def random_automorphism(params: GraphParams, rng) -> Automorphism:

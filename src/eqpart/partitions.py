@@ -12,17 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .hamming import (
     Automorphism,
     GraphParams,
-    decode_vertex,
     digit_masks,
+    digit_table,
     eigenvalue,
     encode_vertex,
     residual_witness,
-    vertex_map,
 )
 
 
@@ -68,6 +68,7 @@ class FiberMismatch:
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,13 @@ class TwoPartition:
     @classmethod
     def from_tuples(cls, params: GraphParams, tuples: Iterable[Sequence[int]]) -> "TwoPartition":
         return cls.from_vertices(params, (encode_vertex(params, t) for t in tuples))
+
+    @classmethod
+    def from_indicator(cls, params: GraphParams, indicator: Sequence[int]) -> "TwoPartition":
+        """The inverse of indicator(): C holds v iff indicator[v] is 1."""
+        if len(indicator) != params.vertex_count:
+            raise ValueError(f"need one indicator entry per vertex, got {len(indicator)}")
+        return cls(params, int(bytes(indicator)[::-1].translate(_BYTE_BITS), 2))
 
     def contains(self, v: int) -> bool:
         return bool((self.cell >> v) & 1)
@@ -266,18 +274,14 @@ def reduce(p: TwoPartition) -> tuple[TwoPartition, tuple[int, ...]]:
         return p, ()
     if len(removed) == params.n:
         raise ValueError("partition depends on no coordinate; cells cannot both be nonempty")
-    kept = sorted(ess)
-    new_params = GraphParams(len(kept), params.q)
-    inside = p.indicator()
-    bits = 0
-    for w in range(new_params.vertex_count):
-        digits = decode_vertex(new_params, w)
-        full = [0] * params.n
-        for pos, k in enumerate(kept):
-            full[k - 1] = digits[pos]
-        if inside[encode_vertex(params, full)]:
-            bits |= 1 << w
-    return TwoPartition(new_params, bits), removed
+    q = params.q
+    new_params = GraphParams(params.n - len(removed), q)
+    # the digits of a reduced vertex fill the kept coordinates, in order,
+    # and every deleted coordinate reads 0
+    table = digit_table(
+        new_params, [[a * q ** (params.n - k) for a in range(q)] for k in sorted(ess)]
+    )
+    return pull(p, new_params, table), removed
 
 
 def extend(p: TwoPartition, d: int) -> TwoPartition:
@@ -313,17 +317,26 @@ def spectral_check(p: TwoPartition, lam: int) -> tuple[int, int] | None:
     return None if v is None else (0, v)
 
 
+def pull(p: TwoPartition, params: GraphParams, table: Sequence[int]) -> TwoPartition:
+    """The partition of H(params) whose cell holds w iff p's cell holds
+    table[w], for a table such as hamming.digit_table builds."""
+    return TwoPartition.from_indicator(params, itemgetter(*table)(p.indicator()))
+
+
 def transform(p: TwoPartition, g: Automorphism) -> TwoPartition:
-    """The image partition (g(C), g(C) complement)."""
-    return TwoPartition(p.params, _image_cell(vertex_map(p.params, g), p.indicator()))
+    """The image partition (g(C), g(C) complement).
 
-
-def _image_cell(vmap: Sequence[int], members: bytes) -> int:
-    """The cell bitset of the image of the cell whose indicator is members
-    under the vertex permutation vmap (see hamming.vertex_map)."""
-    n_bits = len(members)
-    # binary digits of the image cell, vertex q^n - 1 first
-    digits = bytearray(b"0") * n_bits
-    for w in compress(vmap, members):
-        digits[n_bits - 1 - w] = 49     # ord("1")
-    return int(digits, 2)
+    y lies in g(C) iff g^-1(y) lies in C, and g^-1(y) has digit
+    alpha_k^-1(y_k) at coordinate pi(k): a digit table to pull C along.
+    """
+    params = p.params
+    n, q = params.n, params.q
+    if len(g.coord_perm) != n or len(g.alpha_perms[0]) != q:
+        raise ValueError("automorphism shape does not match the graph")
+    terms = []
+    for j, alpha in zip(g.coord_perm, g.alpha_perms):
+        back = [0] * q
+        for x, y in enumerate(alpha):
+            back[y] = x * q ** (n - j)
+        terms.append(back)
+    return pull(p, params, digit_table(params, terms))

@@ -35,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from .constructions import (
@@ -56,7 +57,6 @@ from .partitions import (
     NotEquitable,
     QuotientMatrix,
     TwoPartition,
-    _image_cell,
     equitable_check,
     essential_coordinates,
     predicted_cell_size,
@@ -69,8 +69,8 @@ BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
 # and H(3, 5), 125 vertices, about 2.5 min).
 BACKTRACK_LIMIT = 512
 TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
-CANONICAL_N_LIMIT = 5
-CANONICAL_Q_LIMIT = 5
+IMAGE_N_LIMIT = 5               # bounds on n and q for the image test
+IMAGE_Q_LIMIT = 5
 _SHARD_DEPTH = 10               # shards are the live states at this vertex
 _Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
 
@@ -345,8 +345,8 @@ def _live_shards(
     for rows in searched:
         (s11, _), (s21, _) = rows
         size = int(predicted_cell_size(QuotientMatrix(rows), params))
-        roots = [r for r in _walk(params, s11, s21, size, (0, 0, 0), 1) if r[1] & 1]
-        states = sorted(x for r in roots for x in _walk(params, s11, s21, size, r, depth))
+        # vertex 0 is free, and its count check passes since s11 <= degree
+        states = sorted(_walk(params, s11, s21, size, (1, 1, 1), depth))
         shards.extend((params, rows, size, x) for x in states)
     return shards
 
@@ -417,9 +417,11 @@ def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
 
     found is a set the group maps into itself: union-find joins each cell
     with its image under each generator, keeping the smaller root, so each
-    class is an orbit and its root the orbit's least cell.  An image that
-    is not in found raises AssertionError: the search lost part of an
-    orbit.
+    class is an orbit and its root the orbit's least cell.  The image is
+    the pull along the generator's vertex_map, that is the image under its
+    inverse: g and g^-1 give the same orbits, and a finite set is closed
+    under g iff it is closed under g^-1.  An image that is not in found
+    raises AssertionError: the search lost part of an orbit.
     """
     if not found:
         return found
@@ -443,12 +445,15 @@ def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
             c = parent[c]
         return c
 
-    # each generator's vertex map once, each cell's indicator once
-    maps = [vertex_map(params, g) for g in generators]
+    # each generator's getter once, each cell's binary digits once: digit j
+    # stands for vertex q^n - 1 - j, so the pull along vmap takes digit j of
+    # the image from digit q^n - 1 - vmap[q^n - 1 - j] of the cell
+    top = params.vertex_count - 1
+    getters = [itemgetter(*[top - w for w in reversed(vertex_map(params, g))]) for g in generators]
     for p in found:
-        members = p.indicator()
-        for vmap in maps:
-            image = _image_cell(vmap, members)
+        digits = format(p.cell, f"0{top + 1}b")
+        for getter in getters:
+            image = int("".join(getter(digits)), 2)
             if image not in parent:
                 raise AssertionError(f"image {image:#x} of cell {p.cell:#x} is missing")
             a, b = root(p.cell), root(image)
@@ -472,10 +477,8 @@ def _subslice(bits: int, m: int, pos: int, symbol: int, q: int) -> int:
 
 def _check_group_guard(params: GraphParams) -> None:
     """Refuse a graph beyond the guard of the walk over its group."""
-    if params.n > CANONICAL_N_LIMIT or params.q > CANONICAL_Q_LIMIT:
-        raise GuardError(
-            f"canonical form guarded to n <= {CANONICAL_N_LIMIT}, q <= {CANONICAL_Q_LIMIT}"
-        )
+    if params.n > IMAGE_N_LIMIT or params.q > IMAGE_Q_LIMIT:
+        raise GuardError(f"image test guarded to n <= {IMAGE_N_LIMIT}, q <= {IMAGE_Q_LIMIT}")
 
 
 def _is_image(p: TwoPartition, target: int) -> bool:
@@ -664,11 +667,10 @@ ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Un
 def _iter_cycle_pairs_h42() -> Iterator[TwoPartition]:
     """The 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
     in lexicographic order of their ascending vertex tuples (not in cell
-    bitset order).  classify-t5 reports the first pair that matches, so
-    this order is part of its output."""
+    bitset order).  classify-t5 compares with the lift of the first pair
+    only and prints that pair, so this order is part of its output."""
     params = GraphParams(4, 2)
-    # the 4 neighbors of v differ from v in one bit
-    nbr_masks = [sum(1 << (v ^ (1 << i)) for i in range(4)) for v in range(16)]
+    nbr_masks = [sum(1 << w for w in ws) for ws in neighbor_table(params)]
     for combo in itertools.combinations(range(16), 8):
         cell = sum(1 << v for v in combo)
         # Both cells are 2-regular iff every vertex has 2 of its 4 neighbors
@@ -681,13 +683,6 @@ def _iter_cycle_pairs_h42() -> Iterator[TwoPartition]:
         if is_induced_cycle(params, TwoPartition(params, p.complement_bits()).vertices()) != 8:
             continue
         yield p
-
-
-@lru_cache(maxsize=1)
-def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
-    """All 24 induced-8-cycle pairs of H(4, 2), in the order of
-    _iter_cycle_pairs_h42."""
-    return tuple(_iter_cycle_pairs_h42())
 
 
 @lru_cache(maxsize=8)

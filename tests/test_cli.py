@@ -351,7 +351,7 @@ def test_classify_t5_guard_refusals(tmp_path):
     for argv in (["classify-t5", lifted], ["classify-t5", base, "--check-secondary"]):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
-        assert err == "error: canonical form guarded to n <= 5, q <= 5\n"
+        assert err == "error: image test guarded to n <= 5, q <= 5\n"
     code, out, err = run(["classify-t5", base])
     assert (code, err) == (0, "")
     assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": None}

@@ -1,4 +1,4 @@
-"""Grid balance, permutation switching, alphabet lifting, cycle pairs."""
+"""Permutation switching, alphabet lifting, cycle pairs."""
 
 import itertools
 from fractions import Fraction
@@ -7,17 +7,15 @@ import pytest
 
 from eqpart.constructions import (
     AlphabetBlocks,
-    GridImbalance,
     LiftBlocks,
     eight_cycle_partition,
-    grid_clique_balance,
-    grid_quotient,
     is_induced_cycle,
     lift_two_partition,
     lifted_cycle_pair,
     permutation_switching,
 )
-from eqpart.hamming import GraphParams, eigenvalue
+from eqpart import search
+from eqpart.hamming import GraphParams, decode_vertex, eigenvalue
 from eqpart.partitions import (
     NotEquitable,
     QuotientMatrix,
@@ -55,60 +53,6 @@ def test_lift_blocks_validation():
         LiftBlocks((frozenset({0}), frozenset({1, 2})))
     b = LiftBlocks((frozenset({0, 1}), frozenset({2, 3})))
     assert b.block_size == 2
-
-
-def test_grid_quotient_single_clique_cell():
-    # one full row as the cell is equitable but fails the balance test
-    cell = [(0, b) for b in range(4)]
-    s = grid_quotient(3, 4, cell)
-    assert s == QuotientMatrix(((3, 2), (1, 4)))
-    r = grid_clique_balance(3, 4, cell)
-    assert r == GridImbalance(("row", 0), Fraction(1))
-
-
-def test_grid_balance_pass():
-    # half of every row and column
-    cell = [(a, b) for a in range(2) for b in range(4) if (a + b) % 2 == 0]
-    s = grid_clique_balance(2, 4, cell)
-    assert s == QuotientMatrix(((1, 3), (3, 1)))
-    assert grid_quotient(2, 4, cell) == s
-
-
-def test_grid_balance_column_witness():
-    # rows balanced at 1/2, column 0 fully inside the cell
-    cell = [(0, 0), (0, 1), (1, 0), (1, 2)]
-    r = grid_clique_balance(2, 4, cell)
-    assert r == GridImbalance(("column", 0), Fraction(1))
-
-
-def test_grid_checks_agree_exhaustively():
-    """Balance passes exactly when the partition is equitable with
-    eigenvalue -2, on every proper cell of three small grids."""
-    for q, q2 in ((2, 2), (2, 3), (3, 3)):
-        total = q * q2
-        for bits in range(1, (1 << total) - 1):
-            cell = [(v // q2, v % q2) for v in range(total) if (bits >> v) & 1]
-            balance = grid_clique_balance(q, q2, cell)
-            direct = grid_quotient(q, q2, cell)
-            balanced = isinstance(balance, QuotientMatrix)
-            eq_minus2 = (
-                isinstance(direct, QuotientMatrix)
-                and direct.rows[0][0] - direct.rows[1][0] == -2
-            )
-            assert balanced == eq_minus2
-            if balanced:
-                assert balance == direct
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        grid_quotient(1, 3, [(0, 0)])
-    with pytest.raises(ValueError):
-        grid_quotient(2, 2, [(0, 2)])
-    with pytest.raises(ValueError):
-        grid_quotient(2, 2, [])
-    with pytest.raises(ValueError):
-        grid_clique_balance(2, 2, [(a, b) for a in range(2) for b in range(2)])
 
 
 def test_permutation_switching_worked_example():
@@ -166,6 +110,60 @@ def test_permutation_switching_wrong_base():
     base2 = parity_base(2)
     with pytest.raises(ValueError, match="partition the alphabet"):
         permutation_switching(AlphabetBlocks((frozenset({0, 1, 2}),)), base2)
+
+
+def _switching_oracle(blocks, base):
+    """permutation_switching one vertex at a time: the cell, or the message
+    of the first row or block column off the ratio |C| / q^2.  Vertex x of
+    H(n, q) lies in the switched cell iff (x_1, x_2) lies in C when x_1 is
+    in A_1, and (x_1, x_{i+1}) when x_1 is in A_i, i >= 2."""
+    q = base.params.q
+    rho = Fraction(base.size, q * q)
+    for i, block in enumerate(blocks.blocks, 1):
+        for a in sorted(block):
+            cnt = sum(1 for b in range(q) if base.contains(a * q + b))
+            if Fraction(cnt, q) != rho:
+                return (f"row {a} of block {i} meets the cell in ratio {Fraction(cnt, q)}, "
+                        f"expected {rho}")
+        for b in range(q):
+            cnt = sum(1 for a in block if base.contains(a * q + b))
+            if Fraction(cnt, len(block)) != rho:
+                return (f"column {b} of block {i} meets the cell in ratio "
+                        f"{Fraction(cnt, len(block))}, expected {rho}")
+    params = GraphParams(len(blocks.blocks) + 1, q)
+    block_of = blocks.block_of()
+    cell = 0
+    for v in range(params.vertex_count):
+        digits = decode_vertex(params, v)
+        i = block_of[digits[0]]
+        partner = 1 if i == 0 else i + 1  # 0-based tuple position of coordinate 2 or i+2
+        if base.contains(digits[0] * q + digits[partner]):
+            cell |= 1 << v
+    return cell
+
+
+def test_permutation_switching_matches_vertex_oracle():
+    """Every lambda_2 base of H(2, 4) and H(2, 5) under every alphabet split
+    of H(2, 4), and every split of H(2, 5) into blocks of two or more
+    symbols: a single-symbol block meets each column in ratio 0 or 1, so
+    it refuses every proper cell at its first column.  Only H(2, 4) bases
+    switch along two or more blocks: with |C| / 25 never 1/2, a block of
+    two symbols refuses every base of H(2, 5)."""
+    switched = 0
+    for q in (4, 5):
+        bases = search._lambda2_bases(q)
+        for parts in range(1, q + 1):
+            for blocks in search._ordered_alphabet_blocks(q, parts):
+                if q == 5 and min(map(len, blocks.blocks)) < 2:
+                    continue
+                for base in bases:
+                    try:
+                        got = permutation_switching(blocks, base).cell
+                        switched += parts > 1
+                    except ValueError as e:
+                        got = str(e)
+                    assert got == _switching_oracle(blocks, base), (blocks, base.cell)
+    assert switched == 216
 
 
 def test_alphabet_lift_quotient_law():

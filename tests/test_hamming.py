@@ -11,10 +11,10 @@ from eqpart.hamming import (
     coordinate_stride,
     decode_vertex,
     digit_masks,
+    digit_table,
     eigenvalue,
     encode_vertex,
     essential_coordinates_of_values,
-    line_cliques,
     neighbor_table,
     neighbors,
     random_automorphism,
@@ -113,24 +113,23 @@ def test_digit_masks_are_the_fibers():
                 )
 
 
-def test_line_cliques_cover_all_edges():
-    for params in PARAMS:
-        seen = set()
-        for k in range(1, params.n + 1):
-            lines = list(line_cliques(params, k))
-            assert len(lines) == params.vertex_count // params.q
-            for line in lines:
-                assert list(line) == sorted(line)
-                for v in line:
-                    assert v not in seen
-                    seen.add(v)
-            seen.clear()
-            # each line is a clique in direction k
-            for line in lines:
-                words = [decode_vertex(params, v) for v in line]
-                for i in range(params.n):
-                    vals = {w[i] for w in words}
-                    assert len(vals) == (params.q if i == k - 1 else 1)
+def test_digit_table_sums_one_term_per_digit():
+    rng = random.Random(3)
+    for params in PARAMS + [GraphParams(1, 5), GraphParams(4, 2)]:
+        terms = [[rng.randrange(-9, 10) for _ in range(params.q)] for _ in range(params.n)]
+        table = digit_table(params, terms)
+        assert table == tuple(
+            sum(t[x] for t, x in zip(terms, decode_vertex(params, v)))
+            for v in range(params.vertex_count)
+        )
+        # the strides give the identity
+        strides = [[a * coordinate_stride(params, k) for a in range(params.q)]
+                   for k in range(1, params.n + 1)]
+        assert digit_table(params, strides) == tuple(range(params.vertex_count))
+    with pytest.raises(ValueError):
+        digit_table(GraphParams(2, 3), [[0, 1, 2]])
+    with pytest.raises(ValueError):
+        digit_table(GraphParams(2, 3), [[0, 1, 2], [0, 1]])
 
 
 def test_essential_coordinates_of_values():
@@ -141,6 +140,25 @@ def test_essential_coordinates_of_values():
     assert essential_coordinates_of_values(params, g) == frozenset()
     h = [(v >> 2) ^ (v & 1) for v in range(8)]  # x_1 xor x_3
     assert essential_coordinates_of_values(params, h) == frozenset({1, 3})
+    # against the lines themselves: k is essential iff the vertices that
+    # agree off coordinate k do not all share one value
+    rng = random.Random(8)
+    for params in PARAMS + [GraphParams(1, 4), GraphParams(3, 4)]:
+        words = [decode_vertex(params, v) for v in range(params.vertex_count)]
+        for _ in range(20):
+            # a sum of functions of one coordinate each, some constant, and
+            # now and then a point bump, which makes every coordinate essential
+            tables = [[rng.randrange(3) for _ in range(params.q)] if rng.random() < 0.6
+                      else [0] * params.q for _ in range(params.n)]
+            values = [sum(t[x] for t, x in zip(tables, w)) for w in words]
+            if rng.random() < 0.2:
+                values[rng.randrange(params.vertex_count)] += 5
+            lines = {}
+            for k in range(params.n):
+                for w, x in zip(words, values):
+                    lines.setdefault((k, w[:k] + w[k + 1:]), set()).add(x)
+            expected = {k + 1 for (k, _), seen in lines.items() if len(seen) > 1}
+            assert essential_coordinates_of_values(params, values) == expected
 
 
 def test_automorphism_validation():

@@ -5,6 +5,7 @@ runs, which hides an import cycle that only shows when a module is the
 first one imported.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +40,17 @@ def test_cli_import_leaves_out_the_process_pool():
                            capture_output=True, text=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[]\n"
+
+
+def test_only_hamming_decodes_vertices():
+    """The vertex encoding has one owner: every other module reaches the
+    digits of a vertex through hamming's tables and masks, not through
+    decode_vertex."""
+    for module in MODULES:
+        if module == "hamming":
+            continue
+        tree = ast.parse(Path(SRC, "eqpart", f"{module}.py").read_text())
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "decode_vertex" not in names, module

@@ -10,6 +10,7 @@ from eqpart.hamming import (
     GraphParams,
     apply_automorphism,
     decode_vertex,
+    digit_masks,
     eigenvalue,
     essential_coordinates_of_values,
     neighbor_table,
@@ -66,6 +67,19 @@ def test_two_partition_validation():
     assert p.vertices() == [1, 2]
     assert p.complement().vertices() == [0, 3]
     assert p.indicator() == bytes((0, 1, 1, 0))
+    assert TwoPartition.from_indicator(H22, (0, 1, 1, 0)) == p
+    with pytest.raises(ValueError):
+        TwoPartition.from_indicator(H22, (0, 1, 1))
+    with pytest.raises(ValueError):
+        TwoPartition.from_indicator(H22, (0, 2, 1, 0))
+
+
+def test_from_indicator_inverts_indicator():
+    rng = random.Random(4)
+    for params in (H22, H32, GraphParams(2, 3), GraphParams(3, 4), GraphParams(9, 2)):
+        for _ in range(20):
+            p = TwoPartition(params, rng.randrange(1, (1 << params.vertex_count) - 1))
+            assert TwoPartition.from_indicator(p.params, p.indicator()) == p
 
 
 def test_equitable_check_pass():
@@ -141,6 +155,21 @@ def test_essential_coordinates():
     assert essential_coordinates(eight_cycle_partition()) == frozenset({1, 2, 3, 4})
     assert essential_coordinates(PAIR) == frozenset({1, 2, 3})
     assert essential_coordinates(extend(PAIR, 2)) == frozenset({1, 2, 3})
+    # the bitset route against the slice comparison on the 0/1 indicator
+    rng = random.Random(9)
+    for params in (H22, H32, GraphParams(2, 3), GraphParams(1, 5), GraphParams(3, 4),
+                   GraphParams(6, 2)):
+        cells = range(1, (1 << params.vertex_count) - 1)
+        if params.vertex_count > 9:
+            # random cells, and extensions, whose last coordinate is not essential
+            small = GraphParams(params.n - 1, params.q)
+            cells = [rng.randrange(1, (1 << params.vertex_count) - 1) for _ in range(300)] + [
+                extend(TwoPartition(small, rng.randrange(1, (1 << small.vertex_count) - 1)), 1).cell
+                for _ in range(50)
+            ]
+        for cell in cells:
+            p = TwoPartition(params, cell)
+            assert essential_coordinates(p) == essential_coordinates_of_values(params, p.indicator())
 
 
 def test_extend_reduce_round_trip():
@@ -158,6 +187,21 @@ def test_extend_reduce_round_trip():
     assert extend(PAIR, 0) == PAIR
     with pytest.raises(ValueError):
         extend(PAIR, -1)
+
+
+def test_reduce_inverts_extend():
+    """reduce(extend(p, d)) deletes the d appended coordinates, and then
+    those p itself does not depend on."""
+    rng = random.Random(6)
+    for params in (H22, H32, GraphParams(2, 3), GraphParams(1, 4), GraphParams(3, 3)):
+        for _ in range(15):
+            p = TwoPartition(params, rng.randrange(1, (1 << params.vertex_count) - 1))
+            base, removed = reduce(p)
+            for d in (1, 2):
+                n = params.n
+                assert reduce(extend(p, d)) == (base, tuple(range(n + d, n, -1)) + removed)
+                if not removed:
+                    assert reduce(extend(p, d)) == (p, tuple(range(n + d, n, -1)))
 
 
 def test_reduce_middle_coordinate():
@@ -291,3 +335,18 @@ def test_transform_preserves_quotient():
             g = random_automorphism(params, rng)
             rebuilt = sum(1 << apply_automorphism(params, g, v) for v in p.vertices())
             assert transform(p, g).cell == rebuilt
+
+
+def test_square_grid_balance_is_lambda_2():
+    """H(2, q) is the rook's graph K_q x K_q: a cell is equitable with
+    eigenvalue lambda_2 = -2 iff every fiber, a row or a column, meets it
+    in |C| / q vertices."""
+    for q in (2, 3, 4):
+        params = GraphParams(2, q)
+        fibers = [f for by_symbol in digit_masks(params) for f in by_symbol]
+        for cell in range(1, (1 << params.vertex_count) - 1):
+            size = cell.bit_count()
+            balanced = all((cell & f).bit_count() * q == size for f in fibers)
+            s = equitable_check(TwoPartition(params, cell))
+            lam_2 = isinstance(s, QuotientMatrix) and s.rows[0][0] - s.rows[1][0] == -2
+            assert balanced == lam_2

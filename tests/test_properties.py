@@ -89,7 +89,7 @@ def test_complement_law(case, pick):
 
 
 # The graphs of SMALL_GRAPHS within the guard of the image test.
-GUARDED_GRAPHS = [params for params in SMALL_GRAPHS if params.q <= search.CANONICAL_Q_LIMIT]
+GUARDED_GRAPHS = [params for params in SMALL_GRAPHS if params.q <= search.IMAGE_Q_LIMIT]
 
 
 @st.composite

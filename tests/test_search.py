@@ -442,7 +442,7 @@ def test_is_image_agrees_with_group_minima():
 def test_is_image_guard():
     """Refused beyond n <= 5, q <= 5, also when the cell sizes differ."""
     p = TwoPartition.from_vertices(GraphParams(2, 6), [0])
-    with pytest.raises(search.GuardError, match="canonical form guarded to n <= 5, q <= 5"):
+    with pytest.raises(search.GuardError, match="image test guarded to n <= 5, q <= 5"):
         search._is_image(p, 3)
 
 
@@ -607,7 +607,7 @@ def test_cycle_pair_lifts_form_one_class():
     that takes the first pair to a pair lifts to H(4, q): at coordinate k,
     beta_k maps the first split onto the split and its complement onto the
     complement, after exchanging the two if a_k flips."""
-    pairs = search._cycle_pairs_h42()
+    pairs = tuple(search._iter_cycle_pairs_h42())
     first = pairs[0]
     moves = [
         next(
@@ -639,8 +639,8 @@ def test_cycle_pair_lifts_form_one_class():
 def test_cycle_pairs_h42_order():
     """The 24 induced-8-cycle pairs come in lexicographic order of their
     vertex tuples, which is not cell bitset order; classify-t5 prints the
-    first match, so this order reaches stdout."""
-    pairs = search._cycle_pairs_h42()
+    first pair, so this order reaches stdout."""
+    pairs = tuple(search._iter_cycle_pairs_h42())
     assert len(pairs) == 24
     words = [tuple(p.vertices()) for p in pairs]
     assert words == sorted(words)
