@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +29,7 @@ from .constructions import (
 from .documents import (
     DocumentError,
     function_from_doc,
+    guarded_params,
     load_json,
     parse_blocks,
     partition_from_doc,
@@ -43,6 +45,7 @@ from .partitions import (
     equitable_check,
     essential_coordinates,
     orthogonal_array_check,
+    predicted_cell_size,
     quotient_eigenvalue_indices,
     reduce as reduce_partition,
     spectral_check,
@@ -53,6 +56,7 @@ from .search import (
     Unclassified,
     backtracking_enumerate,
     brute_force_enumerate,
+    candidate_quotient_matrices,
     classify_reduced_lambda2,
     enumerate_ternary_census,
 )
@@ -129,6 +133,7 @@ def _cmd_construct_a(args: argparse.Namespace) -> int:
         blocks = AlphabetBlocks(parse_blocks(args.blocks))
     except ValueError as exc:
         raise DocumentError(f"invalid --blocks: {exc}") from None
+    guarded_params(len(blocks.blocks) + 1, blocks.q)
     base = partition_from_doc(_read_doc(args.base))
     try:
         switched = permutation_switching(blocks, base)
@@ -149,6 +154,7 @@ def _cmd_construct_b(args: argparse.Namespace) -> int:
     split = split_blocks[0]
     if q < 2 or q % 2:
         raise DocumentError("--q must be even and >= 2")
+    guarded_params(4, q)
     if any(not 0 <= x < q for x in split) or len(split) != q // 2:
         raise DocumentError(f"--split must name q/2 = {q // 2} symbols from 0..{q - 1}")
     cycle_pair = None
@@ -171,6 +177,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DocumentError(f"invalid --blocks: {exc}") from None
     p = partition_from_doc(_read_doc(args.input))
+    guarded_params(p.params.n, blocks.q)
     try:
         lifted = lift_two_partition(p, blocks)
     except ValueError as exc:
@@ -239,8 +246,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         )
         if constraints.quotient is None and constraints.eigenvalue_index is None:
             raise ValueError("give one of --eig-index and --quotient")
-        if constraints.eigenvalue_index is not None:
-            eigenvalue(params, constraints.eigenvalue_index)
+        # refuses a malformed quotient for both routes, not just the search
+        candidates = candidate_quotient_matrices(params, constraints)
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
         if args.brute_force:
@@ -249,18 +256,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             found = backtracking_enumerate(params, constraints, threads=args.threads)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    by_quotient: dict[tuple[tuple[int, ...], ...], int] = {}
     for p in found:
         _print_json(to_json(p))
-        s = equitable_check(p)
-        assert isinstance(s, QuotientMatrix)
-        by_quotient[s.rows] = by_quotient.get(s.rows, 0) + 1
+    # Every proper equitable cell of a connected graph has S12, S21 >= 1, so
+    # it has a candidate quotient, the one of its size: candidate sizes differ.
+    sizes = Counter(p.size for p in found)
+    counts = sorted((s.rows, sizes.pop(int(predicted_cell_size(s, params)), 0)) for s in candidates)
+    if sizes:
+        raise AssertionError(f"cells of sizes {sorted(sizes)} have no candidate quotient")
     _print_json({
         "count": len(found),
-        "quotients": [
-            {"matrix": to_json(rows), "count": cnt}
-            for rows, cnt in sorted(by_quotient.items())
-        ],
+        "quotients": [{"matrix": to_json(rows), "count": cnt} for rows, cnt in counts if cnt],
     })
     return 0
 

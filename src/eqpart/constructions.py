@@ -257,9 +257,6 @@ def lifted_cycle_pair(
         raise ValueError("cell of the cycle pair is not an induced 8-cycle")
     if is_induced_cycle(cp_params, TwoPartition(cp_params, cycle_pair.complement_bits()).vertices()) != 8:
         raise ValueError("complement of the cycle pair is not an induced 8-cycle")
-    blocks = LiftBlocks((split, frozenset(range(q)) - split))
-    lifted = lift_two_partition(cycle_pair, blocks)
-    s = equitable_check(lifted)
-    if isinstance(s, NotEquitable) or s.rows[0][0] - s.rows[1][0] != 2 * q - 4:
-        raise AssertionError("lifted cycle pair lost the lambda_2 eigenvalue")
-    return lifted
+    # Both cells are 2-regular, so the quotient is [[2, 2], [2, 2]], and
+    # lift_two_partition asserts the lifted one: lambda = 2q - 4.
+    return lift_two_partition(cycle_pair, LiftBlocks((split, frozenset(range(q)) - split)))

@@ -3,7 +3,8 @@
 A partition document carries n, q and the cell of the 2-partition, either
 as a hex bitset ("cell") or as a vertex index list ("vertices"), exactly
 one of the two.  A function document carries n, q and the full value list
-in vertex index order.  Every document must declare format_version 1.
+in vertex index order.  Every document must declare format_version 1, and
+its graph may have at most 2^28 arcs (degree * q^n).
 
 The hex encoding is nibble little-endian: character d holds bits
 4d..4d+3 of the cell bitset, and the string has exactly
@@ -30,6 +31,10 @@ from .hamming import GraphParams
 from .partitions import TwoPartition
 
 FORMAT_VERSION = 1
+# Bound on degree * q^n.  verify of a one-vertex cell of H(1, q) at the
+# bound takes about 1.4 s and 36 MB on an Intel Xeon vCPU; twice past it,
+# 2.8 s and 54 MB.
+ARC_LIMIT = 1 << 28
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
@@ -76,13 +81,21 @@ def _check_version(doc: Mapping[str, Any]) -> None:
         )
 
 
-def _params_of(doc: Mapping[str, Any]) -> GraphParams:
-    n = _require_int(doc, "n")
-    q = _require_int(doc, "q")
+def guarded_params(n: int, q: int) -> GraphParams:
+    """H(n, q) for a graph that a command reads or builds, refused with a
+    DocumentError past the vertex guard or past ARC_LIMIT arcs: the time
+    and memory of those commands grow with degree * q^n."""
     try:
-        return GraphParams(n, q)
+        params = GraphParams(n, q)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
+    if params.degree * params.vertex_count > ARC_LIMIT:
+        raise DocumentError("degree * q^n exceeds the 2^28 arc guard")
+    return params
+
+
+def _params_of(doc: Mapping[str, Any]) -> GraphParams:
+    return guarded_params(_require_int(doc, "n"), _require_int(doc, "q"))
 
 
 def partition_to_doc(p: TwoPartition) -> dict[str, Any]:

@@ -107,7 +107,11 @@ def candidate_quotient_matrices(
     eigenvalue index i the candidates are the matrices with S11 - S21 =
     lambda_i, correct row sums and S12, S21 >= 1.  Either way only matrices
     with an integer predicted cell size strictly between 0 and q^n are kept.
+    Guarded to q^n <= 512, the bound of the backtracking search, since on
+    H(1, q) an eigenvalue index has up to q - 1 candidates.
     """
+    if params.vertex_count > BACKTRACK_LIMIT:
+        raise GuardError(f"search guarded to q^n <= {BACKTRACK_LIMIT}, got {params.vertex_count}")
     k = params.degree
     if constraints.quotient is not None:
         if constraints.quotient.row_sums() != (k, k):
@@ -374,13 +378,8 @@ def backtracking_enumerate(
     brute_force_enumerate wherever both are allowed to run.  All shards
     share one pool of min(threads, os.cpu_count(), shard count) worker
     processes; with one worker they run in this process.  Guarded to
-    q^n <= 512.
+    q^n <= 512 by candidate_quotient_matrices.
     """
-    n_vertices = params.vertex_count
-    if n_vertices > BACKTRACK_LIMIT:
-        raise GuardError(
-            f"backtracking search guarded to q^n <= {BACKTRACK_LIMIT}, got {n_vertices}"
-        )
     kept = [s.rows for s in candidate_quotient_matrices(params, constraints)]
     shards = _live_shards(params, tuple(dict.fromkeys(kept + [_partner(r) for r in kept])))
     workers = min(threads, os.cpu_count() or 1, len(shards))
@@ -393,7 +392,7 @@ def backtracking_enumerate(
         with ProcessPoolExecutor(max_workers=workers) as ex:
             chunksize = max(1, len(shards) // (8 * workers))
             results = list(ex.map(_search_shard, shards, chunksize=chunksize))
-    full = (1 << n_vertices) - 1
+    full = (1 << params.vertex_count) - 1
     cells: set[int] = set()
     for (_, rows, _, _), found in zip(shards, results):
         if rows in kept:
@@ -664,25 +663,17 @@ class Unclassified:
 ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Unclassified]
 
 
-def _iter_cycle_pairs_h42() -> Iterator[TwoPartition]:
+def _cycle_pairs_h42() -> list[TwoPartition]:
     """The 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
     in lexicographic order of their ascending vertex tuples (not in cell
     bitset order).  classify-t5 compares with the lift of the first pair
-    only and prints that pair, so this order is part of its output."""
+    only and prints that pair, so this order is part of its output.  Both
+    cells are 2-regular iff the quotient is [[2, 2], [2, 2]], a quotient
+    whose cells the search finds together with their complements."""
     params = GraphParams(4, 2)
-    nbr_masks = [sum(1 << w for w in ws) for ws in neighbor_table(params)]
-    for combo in itertools.combinations(range(16), 8):
-        cell = sum(1 << v for v in combo)
-        # Both cells are 2-regular iff every vertex has 2 of its 4 neighbors
-        # in the cell: a cheap necessary condition for two induced 8-cycles.
-        if any((m & cell).bit_count() != 2 for m in nbr_masks):
-            continue
-        p = TwoPartition(params, cell)
-        if is_induced_cycle(params, combo) != 8:
-            continue
-        if is_induced_cycle(params, TwoPartition(params, p.complement_bits()).vertices()) != 8:
-            continue
-        yield p
+    found = backtracking_enumerate(params, EnumConstraints(quotient=QuotientMatrix(((2, 2),) * 2)))
+    cycles = [p for p in found if is_induced_cycle(params, p.vertices()) == 8]
+    return sorted((p for p in cycles if p.complement() in cycles), key=TwoPartition.vertices)
 
 
 @lru_cache(maxsize=8)
@@ -719,7 +710,7 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
         return None
     _check_group_guard(params)      # refuse before building the lift
     split = tuple(range(params.q // 2))
-    pair = next(_iter_cycle_pairs_h42())
+    pair = _cycle_pairs_h42()[0]
     if not _is_image(p, lifted_cycle_pair(params.q, split, pair).cell):
         return None
     return CyclePairLifting(split=frozenset(split), cycle_pair=pair)

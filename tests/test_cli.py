@@ -3,15 +3,16 @@
 import io
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from eqpart.cli import run_command
 from eqpart.constructions import eight_cycle_partition
-from eqpart.documents import hex_to_cell, partition_to_doc
+from eqpart.documents import hex_to_cell, partition_from_doc, partition_to_doc
 from eqpart.hamming import neighbor_table
-from eqpart.partitions import extend
+from eqpart.partitions import TwoPartition, equitable_check, extend
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -29,6 +30,7 @@ def write_doc(tmp_path, name, doc):
 
 
 EIGHT = {"format_version": 1, "n": 4, "q": 2, "cell": "e427"}
+ROUTE_GRAPHS = ((2, 2), (2, 3), (3, 2), (2, 4))     # within the brute force guard
 
 
 def test_verify_pass(tmp_path):
@@ -244,6 +246,48 @@ def test_enumerate_routes_agree():
     }
 
 
+def test_enumerate_summary_counts_the_printed_quotients():
+    """The summary counts each cell under the candidate quotient of its
+    size; equitable_check over the printed cells gives the same counts on
+    both routes, for any thread count."""
+    for n, q in ROUTE_GRAPHS:
+        for i in range(n + 1):
+            argv = ["enumerate", "--n", str(n), "--q", str(q), "--eig-index", str(i)]
+            for route in ([], ["--brute-force"]):
+                for threads in ("1", "2"):
+                    code, out, err = run(argv + route + ["--threads", threads])
+                    assert (code, err) == (0, ""), (n, q, i, route, threads)
+                    *docs, summary = [json.loads(line) for line in out.splitlines()]
+                    counts = Counter(equitable_check(partition_from_doc(d)).rows for d in docs)
+                    assert summary == {
+                        "count": len(docs),
+                        "quotients": [
+                            {"matrix": [list(r) for r in rows], "count": cnt}
+                            for rows, cnt in sorted(counts.items())
+                        ],
+                    }, (n, q, i, route, threads)
+
+
+def test_enumerate_routes_refuse_the_same_quotients():
+    """A quotient whose rows do not sum to the degree, or with S12 + S21 = 0,
+    ends both routes with exit 2 and the same error line."""
+    for quotient, message in (("0,1;1,0", "row sums"), ("2,0;0,2", "S12 + S21 = 0")):
+        argv = ["enumerate", "--n", "2", "--q", "2", "--quotient", quotient]
+        default, brute = run(argv), run(argv + ["--brute-force"])
+        assert default == brute
+        code, out, err = default
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_enumerate_refuses_a_cell_of_no_candidate_size(monkeypatch):
+    """A cell whose size is no candidate's means the search is at fault."""
+    monkeypatch.setattr("eqpart.cli.backtracking_enumerate",
+                        lambda params, constraints, threads: [TwoPartition(params, 1)])
+    with pytest.raises(AssertionError, match="no candidate quotient"):
+        run(["enumerate", "--n", "2", "--q", "2", "--eig-index", "2"])
+
+
 def test_enumerate_threads_byte_identical():
     argv = ["enumerate", "--n", "3", "--q", "2", "--eig-index", "2"]
     outputs = [run(argv + ["--threads", str(t)])[1] for t in (1, 2)]
@@ -376,8 +420,23 @@ def test_sweep_ternary():
     ["enumerate", "--n", "10", "--q", "2", "--eig-index", "2"],
     ["enumerate", "--n", "4", "--q", "6", "--eig-index", "2"],
     ["enumerate", "--n", "16", "--q", "2", "--eig-index", "2"],
+    ["enumerate", "--n", "1", "--q", "4294967296", "--eig-index", "1", "--brute-force"],
+    # documents and construction outputs past 2^28 arcs (degree * q^n)
+    ["verify", {"format_version": 1, "n": 1, "q": 4294967296, "vertices": [0]}],
+    ["verify", {"format_version": 1, "n": 1, "q": 23170, "vertices": [0]}],
+    ["reduce", {"format_version": 1, "n": 24, "q": 2, "vertices": [0]}],
+    ["classify-fn", {"format_version": 1, "n": 2, "q": 1024, "values": [0]}],
+    ["construct-b", "--q", "64", "--split", ",".join(map(str, range(32)))],
+    ["construct-a", "--blocks", "0,1|2,3|4,5|6,7|8,9|10,11", "--base",
+     {"format_version": 1, "n": 2, "q": 12,
+      "vertices": [12 * a + b for a in range(12) for b in range(12) if (a + b) % 2 == 0]}],
+    ["lift", "--blocks", ",".join(map(str, range(32))) + "|" + ",".join(map(str, range(32, 64))),
+     "--input", EIGHT],
 ])
-def test_huge_graphs_are_refused_at_once(argv):
+def test_huge_graphs_are_refused_at_once(argv, tmp_path):
+    """Each document in argv is written to a file and passed by its path."""
+    argv = [write_doc(tmp_path, f"doc{k}.json", a) if isinstance(a, dict) else a
+            for k, a in enumerate(argv)]
     start = time.perf_counter()
     code, out, err = run(argv)
     assert time.perf_counter() - start < 1.0

@@ -607,7 +607,7 @@ def test_cycle_pair_lifts_form_one_class():
     that takes the first pair to a pair lifts to H(4, q): at coordinate k,
     beta_k maps the first split onto the split and its complement onto the
     complement, after exchanging the two if a_k flips."""
-    pairs = tuple(search._iter_cycle_pairs_h42())
+    pairs = search._cycle_pairs_h42()
     first = pairs[0]
     moves = [
         next(
@@ -640,7 +640,7 @@ def test_cycle_pairs_h42_order():
     """The 24 induced-8-cycle pairs come in lexicographic order of their
     vertex tuples, which is not cell bitset order; classify-t5 prints the
     first pair, so this order reaches stdout."""
-    pairs = tuple(search._iter_cycle_pairs_h42())
+    pairs = search._cycle_pairs_h42()
     assert len(pairs) == 24
     words = [tuple(p.vertices()) for p in pairs]
     assert words == sorted(words)
