@@ -52,7 +52,6 @@ from .partitions import (
 )
 from .search import (
     EnumConstraints,
-    GuardError,
     Unclassified,
     backtracking_enumerate,
     brute_force_enumerate,
@@ -275,8 +274,6 @@ def _cmd_classify_t5(args: argparse.Namespace) -> int:
     p = partition_from_doc(_read_doc(args.input))
     try:
         tag = classify_reduced_lambda2(p, check_secondary=args.check_secondary)
-    except GuardError as exc:
-        raise DocumentError(str(exc)) from None
     except ValueError as exc:
         _print_json({"error": str(exc)})
         return 1
@@ -377,3 +374,7 @@ def run_command(argv: list[str], stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -16,11 +16,10 @@ other cell is the complement of one found.
 The up-to-iso filter keeps the least cell of each orbit of the group of
 coordinate and symbol permutations: the enumerated set is closed under
 that group, so a union-find over the images of its cells under the
-group's generators finds the orbits.  Whether a partition is isomorphic
-to a given one, as the classification asks, is decided by one walk of
-the whole group cut to the images that can still reach the given cell.
-Complement swaps are not quotiented out: (C, complement) and
-(complement, C) are distinct.
+group's generators finds the orbits.  Complement swaps are not
+quotiented out: (C, complement) and (complement, C) are distinct.  The
+classification walks no group: it reads a construction's parameters off
+the slices of a partition and rebuilds the partition from them.
 
 The ternary census classifies only the functions in the span of the top
 two eigenspaces, which a meet-in-the-middle join over the linear
@@ -29,7 +28,6 @@ residual of the lambda_1 eigen-equation finds, and counts the rest.
 
 from __future__ import annotations
 
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -52,7 +50,15 @@ from .eigenfunctions import (
     VertexFunction,
     classify_top_two,
 )
-from .hamming import Automorphism, GraphParams, eigenvalue, neighbor_table, vertex_map
+from .hamming import (
+    Automorphism,
+    GraphParams,
+    digit_masks,
+    digit_table,
+    eigenvalue,
+    neighbor_table,
+    vertex_map,
+)
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
@@ -60,6 +66,8 @@ from .partitions import (
     equitable_check,
     essential_coordinates,
     predicted_cell_size,
+    pull,
+    transform,
 )
 
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
@@ -69,14 +77,8 @@ BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
 # and H(3, 5), 125 vertices, about 2.5 min).
 BACKTRACK_LIMIT = 512
 TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
-IMAGE_N_LIMIT = 5               # bounds on n and q for the image test
-IMAGE_Q_LIMIT = 5
 _SHARD_DEPTH = 10               # shards are the live states at this vertex
 _Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
-
-
-class GuardError(ValueError):
-    """An input lies beyond a guard of this module: a refusal, not a result."""
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ def candidate_quotient_matrices(
     H(1, q) an eigenvalue index has up to q - 1 candidates.
     """
     if params.vertex_count > BACKTRACK_LIMIT:
-        raise GuardError(f"search guarded to q^n <= {BACKTRACK_LIMIT}, got {params.vertex_count}")
+        raise ValueError(f"search guarded to q^n <= {BACKTRACK_LIMIT}, got {params.vertex_count}")
     k = params.degree
     if constraints.quotient is not None:
         if constraints.quotient.row_sums() != (k, k):
@@ -169,7 +171,7 @@ def brute_force_enumerate(
     cell bitset."""
     n_vertices = params.vertex_count
     if n_vertices > BRUTE_FORCE_LIMIT:
-        raise GuardError(
+        raise ValueError(
             f"brute force sweep guarded to q^n <= {BRUTE_FORCE_LIMIT}, got {n_vertices}"
         )
     # built here from neighbor_table, not from _pruning_table, so that this
@@ -407,7 +409,7 @@ def backtracking_enumerate(
     return out
 
 
-# --- isomorphism: orbit minima and the image test ---------------------------
+# --- isomorphism: orbit minima ----------------------------------------------
 
 
 def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
@@ -458,73 +460,6 @@ def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
             a, b = root(p.cell), root(image)
             parent[max(a, b)] = min(a, b)
     return [p for p in found if root(p.cell) == p.cell]
-
-
-def _subslice(bits: int, m: int, pos: int, symbol: int, q: int) -> int:
-    """Restrict a bitset over q^m tuples to digit pos = symbol (big-endian
-    positions 0..m-1), re-indexed over the remaining m-1 positions."""
-    low = q ** (m - 1 - pos)
-    out = 0
-    idx = 0
-    for high in range(q ** pos):
-        base = (high * q + symbol) * low
-        chunk = (bits >> base) & ((1 << low) - 1)
-        out |= chunk << idx
-        idx += low
-    return out
-
-
-def _check_group_guard(params: GraphParams) -> None:
-    """Refuse a graph beyond the guard of the walk over its group."""
-    if params.n > IMAGE_N_LIMIT or params.q > IMAGE_Q_LIMIT:
-        raise GuardError(f"image test guarded to n <= {IMAGE_N_LIMIT}, q <= {IMAGE_Q_LIMIT}")
-
-
-def _is_image(p: TwoPartition, target: int) -> bool:
-    """Whether some graph automorphism maps p.cell to target.
-
-    Walks the images of p.cell.  Each node fixes which source coordinate
-    and symbol permutation feed the target coordinates so far, most
-    significant first; its slices are the blocks of the image, each over
-    the q^m tuples of the m coordinates left.  Those coordinates move the
-    bit positions of every slice alike, so the columns of a node (bit j of
-    each slice in turn) must be those of the target blocks its slices
-    fill, in some order; otherwise the node is cut.  So each slice needs
-    as many members as its block (at the root, the cell sizes agree).  At
-    m = 1 the symbol permutations of the last coordinate put the columns
-    in any order, so a node that survives the cut there has an image equal
-    to target.  Guarded to n <= 5 and q <= 5.
-    """
-    params = p.params
-    _check_group_guard(params)
-    q = params.q
-    bits = format(target, f"0{params.vertex_count}b")
-    columns: dict[int, list[str]] = {}
-    # target symbols q-1..0 take source symbols gamma[q-1]..gamma[0]
-    orders = tuple(perm[::-1] for perm in itertools.permutations(range(q)))
-
-    def descend(slices: tuple[int, ...], m: int) -> bool:
-        length = q ** m
-        if m not in columns:
-            columns[m] = sorted(bits[j::length] for j in range(length))
-        image = "".join([format(s, f"0{length}b") for s in slices])
-        if sorted(image[j::length] for j in range(length)) != columns[m]:
-            return False
-        if m == 1:
-            return True     # the last coordinate's symbols order the columns freely
-        seen = set()
-        for pos in range(m):
-            subs = [[_subslice(s, m, pos, a, q) for a in range(q)] for s in slices]
-            for order in orders:
-                child = tuple(sub[a] for sub in subs for a in order)
-                if child in seen:
-                    continue
-                seen.add(child)
-                if descend(child, m - 1):
-                    return True
-        return False
-
-    return descend((p.cell,), params.n)
 
 
 # --- ternary function census -------------------------------------------------
@@ -609,7 +544,7 @@ def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
     n_vertices = params.vertex_count
     # 3^15 <= 2^24 < 3^16: refuse larger graphs before computing the power
     if n_vertices > 15 or 3 ** n_vertices > TERNARY_SWEEP_LIMIT:
-        raise GuardError(f"ternary sweep guarded to 3^(q^n) <= {TERNARY_SWEEP_LIMIT}")
+        raise ValueError(f"ternary sweep guarded to 3^(q^n) <= {TERNARY_SWEEP_LIMIT}")
     counts = {Constant: 0, QuasiString: 0, QuasiCross: 0}
     for values in _ternary_members(params):
         form = classify_top_two(VertexFunction(params, values))
@@ -666,8 +601,8 @@ ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Un
 def _cycle_pairs_h42() -> list[TwoPartition]:
     """The 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
     in lexicographic order of their ascending vertex tuples (not in cell
-    bitset order).  classify-t5 compares with the lift of the first pair
-    only and prints that pair, so this order is part of its output.  Both
+    bitset order).  classify-t5 tags every lifted cycle pair with the
+    first pair, so this order is part of its output.  Both
     cells are 2-regular iff the quotient is [[2, 2], [2, 2]], a quotient
     whose cells the search finds together with their complements."""
     params = GraphParams(4, 2)
@@ -676,65 +611,96 @@ def _cycle_pairs_h42() -> list[TwoPartition]:
     return sorted((p for p in cycles if p.complement() in cycles), key=TwoPartition.vertices)
 
 
-@lru_cache(maxsize=8)
-def _lambda2_bases(q: int) -> tuple[TwoPartition, ...]:
-    """All equitable 2-partitions of H(2, q) with second eigenvalue -2."""
-    params = GraphParams(2, q)
-    return tuple(
-        backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2))
-    )
-
-
-def _ordered_alphabet_blocks(q: int, parts: int):
-    """Ordered partitions of {0..q-1} into the given number of nonempty
-    blocks, in lexicographic order of the assignment vector."""
-    for assignment in itertools.product(range(parts), repeat=q):
-        if set(assignment) != set(range(parts)):
-            continue
-        yield AlphabetBlocks(tuple(
-            frozenset(s for s in range(q) if assignment[s] == i)
-            for i in range(parts)
-        ))
+def _slices(params: GraphParams, cell: int, k: int) -> list[int]:
+    """The slices x_k = a of a cell, a = 0..q-1, each shifted onto the
+    slice x_k = 0, so that equal slices are equal ints."""
+    stride = params.q ** (params.n - k)
+    return [(cell & fiber) >> a * stride for a, fiber in enumerate(digit_masks(params)[k - 1])]
 
 
 def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
-    """The first split and cycle pair whose lift is isomorphic to p, if any.
+    """The tag of the first split and cycle pair if p is isomorphic to a
+    lifted cycle pair, else None.
 
-    The lifts of all 24 cycle pairs over all splits form one isomorphism
-    class (test_cycle_pair_lifts_form_one_class pins this for q = 2 and 4,
-    the even q within the guard of _is_image), so the first lift decides,
-    by one pruned walk of the group (_is_image).
+    A lift is constant on the two blocks of its split along each
+    coordinate, so along coordinate k the slices of p must take two
+    values, each on q/2 symbols.  beta_k maps range(q/2) onto the class of
+    symbol 0; reading one symbol of each class pulls p onto H(4, 2), and
+    that pull must be a cycle pair (lifted_cycle_pair refuses it
+    otherwise).  Its lift moved by the betas is then p itself, which is
+    asserted.  The lifts of all 24 cycle pairs over all splits form one
+    isomorphism class (test_cycle_pair_lifts_form_one_class), so the tag
+    names the first split and pair.
     """
     params = p.params
-    if params.n != 4 or params.q % 2:
+    q = params.q
+    if params.n != 4 or q % 2:
         return None
-    _check_group_guard(params)      # refuse before building the lift
-    split = tuple(range(params.q // 2))
-    pair = _cycle_pairs_h42()[0]
-    if not _is_image(p, lifted_cycle_pair(params.q, split, pair).cell):
+    half = q // 2
+    betas = []
+    for k in range(1, 5):
+        slices = _slices(params, p.cell, k)
+        zero = [a for a in range(q) if slices[a] == slices[0]]
+        if len(zero) != half or len(set(slices)) != 2:
+            return None
+        betas.append(tuple(zero + [a for a in range(q) if a not in zero]))
+    h42 = GraphParams(4, 2)
+    # binary digit b of coordinate k reads symbol beta_k(b * q/2) of p
+    reads = digit_table(h42, [[beta[0] * q ** (4 - k), beta[half] * q ** (4 - k)]
+                              for k, beta in enumerate(betas, 1)])
+    try:
+        lift = lifted_cycle_pair(q, range(half), pull(p, h42, reads))
+    except ValueError:
         return None
-    return CyclePairLifting(split=frozenset(split), cycle_pair=pair)
+    if transform(lift, Automorphism((1, 2, 3, 4), tuple(betas))) != p:
+        raise AssertionError(f"the lift read off {p.cell:#x} does not rebuild it")
+    return CyclePairLifting(split=frozenset(range(half)), cycle_pair=_cycle_pairs_h42()[0])
 
 
 def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
-    """The first alphabet split, then lambda_2 base of H(2, q), whose
-    permutation switching p is an image of (_is_image), if any.  A
-    switching has as many members as the extended base, so a base of
-    another size is skipped before its switching is built."""
+    """The blocks and lambda_2 base of a permutation switching that is
+    isomorphic to p, if any.
+
+    A switching output has a selector coordinate c: each slice x_c = a
+    depends on exactly one other coordinate sigma(a), and sigma maps onto
+    the other n - 1.  Row a of the base is that slice read along sigma(a);
+    the blocks are the fibers of sigma over the other coordinates in
+    ascending order.  An automorphism permutes the rows of the base and
+    the columns of each block separately, which keeps a base balanced, so
+    the base read off must itself be balanced (permutation_switching
+    refuses it otherwise, and the next c is tried).  Its switching, moved
+    by the coordinate permutation that sends 1 to c, is then p itself,
+    which is asserted.
+    """
     params = p.params
-    if params.n < 2 or params.q < params.n - 1:
-        return None
-    _check_group_guard(params)      # refuse before building the bases
-    for blocks in _ordered_alphabet_blocks(params.q, params.n - 1):
-        for base in _lambda2_bases(params.q):
-            if base.size * params.q ** (params.n - 2) != p.size:
+    n, q = params.n, params.q
+    ident = (tuple(range(q)),) * n
+    for c in range(1, n + 1):
+        others = [k for k in range(1, n + 1) if k != c]
+        sigma, rows = [], []
+        for piece in _slices(params, p.cell, c):
+            reads = [(k, subs) for k in others if len(set(subs := _slices(params, piece, k))) > 1]
+            if len(reads) != 1:
+                break
+            (k, subs), = reads
+            sigma.append(k)
+            rows.extend(int(sub != 0) for sub in subs)
+        else:
+            if set(sigma) != set(others):
                 continue
+            blocks = AlphabetBlocks(tuple(
+                frozenset(a for a in range(q) if sigma[a] == k) for k in others
+            ))
+            base = TwoPartition.from_indicator(GraphParams(2, q), rows)
             try:
-                candidate = permutation_switching(blocks, base)
+                switched = permutation_switching(blocks, base)
             except ValueError:
                 continue
-            if _is_image(candidate, p.cell):
-                return SwitchingConstruction(blocks=blocks, base=base)
+            # target coordinate c reads source 1, the others sources 2..n
+            perm = tuple(1 if k == c else others.index(k) + 2 for k in range(1, n + 1))
+            if transform(switched, Automorphism(perm, ident)) != p:
+                raise AssertionError(f"the switching read off {p.cell:#x} does not rebuild it")
+            return SwitchingConstruction(blocks=blocks, base=base)
     return None
 
 
@@ -745,16 +711,15 @@ def classify_reduced_lambda2(
     family that produces it.
 
     Preconditions (ValueError): p is equitable, its second quotient
-    eigenvalue is lambda_2(n, q), and every coordinate is essential.  A
-    partition that needs the image test beyond its guard (that of
-    _is_image) raises GuardError once the preconditions hold.
+    eigenvalue is lambda_2(n, q), and every coordinate is essential.
     n <= 3 is tagged SmallBase outright (set check_secondary to also
     record whether a switching construction matches).  For n >= 4 the
     cycle-pair lifting recognizer runs first, then the switching
-    recognizer; splits are tried in lexicographic order and the first
-    match wins.  Every reduced lambda_2 partition in range of the guards
-    is expected to match a family; an Unclassified result is flagged
-    loudly because it would be a counterexample to that classification.
+    recognizer.  Each reads its construction's parameters off the slices
+    of p and rebuilds p from them, so neither walks the automorphism group
+    and neither has a guard.  Every reduced lambda_2 partition is expected
+    to match a family; an Unclassified result is flagged loudly because it
+    would be a counterexample to that classification.
     """
     params = p.params
     s = equitable_check(p)

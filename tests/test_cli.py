@@ -2,17 +2,22 @@
 
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import eqpart.cli
 from eqpart.cli import run_command
 from eqpart.constructions import eight_cycle_partition
 from eqpart.documents import hex_to_cell, partition_from_doc, partition_to_doc
-from eqpart.hamming import neighbor_table
-from eqpart.partitions import TwoPartition, equitable_check, extend
+from eqpart.hamming import neighbor_table, random_automorphism
+from eqpart.partitions import TwoPartition, equitable_check, extend, transform
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -303,7 +308,7 @@ def test_enumerate_explicit_quotient():
 
 def test_enumerate_up_to_iso_needs_no_group_guard():
     """--up-to-iso keeps the least cell of each orbit by union-find over
-    generator images, so it runs past n <= 5, q <= 5: on H(1, 6) the
+    generator images, so it needs no walk of the group: on H(1, 6) the
     classes are the cells {0..s-1}, one per size."""
     code, out, err = run(["enumerate", "--n", "1", "--q", "6", "--eig-index", "1",
                           "--up-to-iso"])
@@ -357,10 +362,10 @@ def test_classify_t5_small_base(tmp_path):
 def test_classify_t5_secondary_on_h25(tmp_path):
     """All six reduced lambda_2 classes of H(2, 5), the cells that
     `enumerate --n 2 --q 5 --eig-index 2 --reduced-only --up-to-iso`
-    prints, are also switching outputs.  The bases come from the
-    backtracking search, not from a sweep over all 2^25 cells (about 75 s
-    on 2 vCPUs), and each candidate is tested by one pruned walk of the
-    group; comparing canonical forms took 82 s and more on some classes."""
+    prints, are also switching outputs.  Each is its own balanced base
+    with one block, which the switching recognizer reads off its slices
+    without a search over bases or a walk of the group; comparing
+    canonical forms took 82 s and more on some classes."""
     start = time.perf_counter()
     # the first is the anti-diagonal x + y = 4
     for cell in ("0111110", "892b130", "89aa230", "c57e370", "c57d570", "ebfebf0"):
@@ -384,21 +389,42 @@ def test_classify_t5_preconditions(tmp_path):
 
 
 def test_classify_t5_guard_refusals(tmp_path):
-    """The image test beyond its guard ends in exit 2 with one stderr
-    line and empty stdout; n <= 3 needs none without --check-secondary."""
+    """classify-t5 refuses no graph for its size: the H(4, 6) lift of
+    construct-b, --check-secondary on H(2, 6), and the H(4, 6) switching of
+    construct-a and a seeded image of it are all tagged.  The switching
+    itself prints back its own blocks and base."""
     code, out, _ = run(["construct-b", "--q", "6", "--split", "0,1,2"])
     assert code == 0
     lifted = write_doc(tmp_path, "h46.json", json.loads(out)["partition"])
+    code, out, err = run(["classify-t5", lifted])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tag"] == {
+        "kind": "cycle_pair_lifting", "split": [0, 1, 2],
+        "cycle_pair": {"format_version": 1, "n": 4, "q": 2, "cell": "724e"},
+    }
     # the two cells of H(2, 6) split by (x < 3) != (y < 3)
     base = write_doc(tmp_path, "h26.json",
                      {"format_version": 1, "n": 2, "q": 6, "cell": "83e8f17c1"})
-    for argv in (["classify-t5", lifted], ["classify-t5", base, "--check-secondary"]):
-        code, out, err = run(argv)
-        assert (code, out) == (2, ""), argv
-        assert err == "error: image test guarded to n <= 5, q <= 5\n"
+    code, out, err = run(["classify-t5", base, "--check-secondary"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": True}
     code, out, err = run(["classify-t5", base])
     assert (code, err) == (0, "")
     assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": None}
+    # the checkerboard x + y even, switched along three blocks
+    checkerboard = {"format_version": 1, "n": 2, "q": 6, "cell": "59a59a59a"}
+    code, out, _ = run(["construct-a", "--blocks", "0,1|2,3|4,5", "--base",
+                        write_doc(tmp_path, "board.json", checkerboard)])
+    assert code == 0
+    switched = partition_from_doc(json.loads(out)["partition"])
+    image = transform(switched, random_automorphism(switched.params, random.Random(1)))
+    for name, p in (("switched.json", switched), ("image.json", image)):
+        code, out, err = run(["classify-t5", write_doc(tmp_path, name, partition_to_doc(p))])
+        assert (code, err) == (0, ""), name
+        tag = json.loads(out)["tag"]
+        assert tag["kind"] == "switching_construction", name
+        if p is switched:
+            assert (tag["blocks"], tag["base"]) == ("0,1|2,3|4,5", checkerboard)
 
 
 def test_sweep_ternary():
@@ -450,6 +476,20 @@ def test_bad_usage():
     assert run(["no-such-command"])[0] == 2
     code, _, err = run(["verify"])
     assert code == 2
+
+
+def test_module_entry_point_runs_the_cli():
+    """python -m eqpart.cli runs a command as run_command does: a quotient
+    with the wrong row sums exits 2 with the same one stderr line."""
+    argv = ["enumerate", "--n", "2", "--q", "2", "--quotient", "0,1;1,0"]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    src = str(Path(eqpart.cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    child = subprocess.run([sys.executable, "-m", "eqpart.cli", *argv],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")

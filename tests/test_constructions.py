@@ -14,7 +14,6 @@ from eqpart.constructions import (
     lifted_cycle_pair,
     permutation_switching,
 )
-from eqpart import search
 from eqpart.hamming import GraphParams, decode_vertex, eigenvalue
 from eqpart.partitions import (
     NotEquitable,
@@ -25,6 +24,7 @@ from eqpart.partitions import (
     extend,
     quotient_eigenvalue_indices,
 )
+from eqpart.search import EnumConstraints, backtracking_enumerate
 
 
 def parity_base(q):
@@ -142,6 +142,16 @@ def _switching_oracle(blocks, base):
     return cell
 
 
+def _ordered_alphabet_blocks(q, parts):
+    """Ordered partitions of {0..q-1} into the given number of nonempty
+    blocks, in lexicographic order of the assignment vector."""
+    for assignment in itertools.product(range(parts), repeat=q):
+        if set(assignment) == set(range(parts)):
+            yield AlphabetBlocks(tuple(
+                frozenset(s for s in range(q) if assignment[s] == i) for i in range(parts)
+            ))
+
+
 def test_permutation_switching_matches_vertex_oracle():
     """Every lambda_2 base of H(2, 4) and H(2, 5) under every alphabet split
     of H(2, 4), and every split of H(2, 5) into blocks of two or more
@@ -151,9 +161,9 @@ def test_permutation_switching_matches_vertex_oracle():
     two symbols refuses every base of H(2, 5)."""
     switched = 0
     for q in (4, 5):
-        bases = search._lambda2_bases(q)
+        bases = backtracking_enumerate(GraphParams(2, q), EnumConstraints(eigenvalue_index=2))
         for parts in range(1, q + 1):
-            for blocks in search._ordered_alphabet_blocks(q, parts):
+            for blocks in _ordered_alphabet_blocks(q, parts):
                 if q == 5 and min(map(len, blocks.blocks)) < 2:
                     continue
                 for base in bases:

@@ -15,7 +15,12 @@ import pytest
 
 from eqpart import search
 from eqpart.cli import run_command
-from eqpart.constructions import AlphabetBlocks, eight_cycle_partition, lifted_cycle_pair
+from eqpart.constructions import (
+    AlphabetBlocks,
+    eight_cycle_partition,
+    lifted_cycle_pair,
+    permutation_switching,
+)
 from eqpart.documents import cell_to_hex, hex_to_cell
 from eqpart.eigenfunctions import (
     Constant,
@@ -25,7 +30,7 @@ from eqpart.eigenfunctions import (
     classify_top_two,
     in_top_two_eigenspaces,
 )
-from eqpart.hamming import Automorphism, GraphParams, random_automorphism, vertex_map
+from eqpart.hamming import Automorphism, GraphParams, vertex_map
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
@@ -396,54 +401,103 @@ def test_up_to_iso_h25_matches_orbit_union_find():
     assert [x["count"] for x in summary["quotients"]] == [1, 2, 2, 1]
 
 
-# graphs on which every pair of equitable cells of one eigenvalue index is compared
-IMAGE_GRAPHS = (GraphParams(2, 3), H32, GraphParams(2, 4), H42)
+def _generators(params):
+    """Generators of the automorphism group: the adjacent coordinate
+    transpositions, and on coordinate 1 the symbol transposition (0 1) and
+    the q-cycle (one map when q = 2)."""
+    n, q = params.n, params.q
+    coords, ident = tuple(range(1, n + 1)), tuple(range(q))
+    return [
+        Automorphism(coords[:k] + (k + 2, k + 1) + coords[k + 2:], (ident,) * n)
+        for k in range(n - 1)
+    ] + [
+        Automorphism(coords, (alpha,) + (ident,) * (n - 1))
+        for alpha in dict.fromkeys(((1, 0, *ident[2:]), (*ident[1:], 0)))
+    ]
 
 
-def _lambda_cells(params, index):
-    return backtracking_enumerate(params, EnumConstraints(eigenvalue_index=index))
+def _orbit_closure(seeds):
+    """The cells of all images of the seeds under the automorphism group,
+    by a breadth-first search over its generators."""
+    if not seeds:
+        return set()
+    gens = _generators(seeds[0].params)
+    seen = {p.cell for p in seeds}
+    frontier = list(seeds)
+    while frontier:
+        images = [transform(p, g) for p in frontier for g in gens]
+        frontier = []
+        for image in images:
+            if image.cell not in seen:
+                seen.add(image.cell)
+                frontier.append(image)
+    return seen
 
 
-def test_is_image_agrees_with_group_minima():
-    """_is_image(a, b.cell) holds iff a and b have the same group minimum:
-    on every pair of equitable cells of one index on four small graphs, on
-    a seeded image of each of those cells under a random automorphism and
-    a same-size two-bit swap of it, and on seeded samples of lambda_2
-    cells of H(3, 3) and H(2, 5)."""
-    rng = random.Random(10)
-    checked = positives = 0
+def test_switching_recognizer_matches_orbit_closure():
+    """_match_switching accepts exactly the reduced lambda_2 cells in the
+    orbits of the permutation_switching outputs, over every assignment of
+    the symbols to n - 1 blocks and every lambda_2 base of H(2, q).  The
+    orbits come from a closure over the group's generators, which uses
+    neither the recognizer nor a walk of the group.  On H(3, 3) one of two
+    blocks of three symbols is a single symbol, so nothing switches.  A
+    one-bit flip of each accepted cell is refused."""
+    rng = random.Random(11)
+    for (n, q), size in {(2, 4): 138, (2, 5): 4320, (3, 3): 0, (3, 4): 648}.items():
+        params = GraphParams(n, q)
+        bases = backtracking_enumerate(GraphParams(2, q), EnumConstraints(eigenvalue_index=2))
+        outputs = []
+        for assignment in itertools.product(range(n - 1), repeat=q):
+            if set(assignment) != set(range(n - 1)):
+                continue
+            blocks = AlphabetBlocks(tuple(
+                frozenset(s for s in range(q) if assignment[s] == i) for i in range(n - 1)
+            ))
+            for base in bases:
+                try:
+                    outputs.append(permutation_switching(blocks, base))
+                except ValueError:
+                    pass
+        closure = _orbit_closure(outputs)
+        reduced = backtracking_enumerate(
+            params, EnumConstraints(eigenvalue_index=2, reduced_only=True)
+        )
+        accepted = {p.cell for p in reduced if search._match_switching(p) is not None}
+        assert len(closure) == size and accepted == closure, (n, q)
+        for cell in sorted(accepted):
+            flipped = TwoPartition(params, cell ^ 1 << rng.randrange(params.vertex_count))
+            assert search._match_switching(flipped) is None, (n, q, cell)
 
-    def check(a, b_cell, same):
-        nonlocal checked, positives
-        assert search._is_image(a, b_cell) == same, (a, b_cell)
-        checked, positives = checked + 1, positives + same
 
-    for params in IMAGE_GRAPHS:
-        for index in range(params.n + 1):
-            cells = _lambda_cells(params, index)
-            forms = {p: _group_minimum(p) for p in cells}
-            for a, b in itertools.combinations_with_replacement(cells, 2):
-                check(a, b.cell, forms[a] == forms[b])
-            for a in cells:
-                check(a, transform(a, random_automorphism(params, rng)).cell, True)
-                others = [v for v in range(params.vertex_count) if not a.contains(v)]
-                swapped = TwoPartition(
-                    params, a.cell ^ 1 << rng.choice(a.vertices()) ^ 1 << rng.choice(others)
-                )
-                check(a, swapped.cell, _group_minimum(swapped) == forms[a])
-    for params, size in ((GraphParams(3, 3), 20), (GraphParams(2, 5), 6)):
-        sample = rng.sample(_lambda_cells(params, 2), size)
-        forms = {p: _group_minimum(p) for p in sample}
-        for a, b in itertools.combinations_with_replacement(sample, 2):
-            check(a, b.cell, forms[a] == forms[b])
-    assert (checked, positives) == (13530, 4802)
+@lru_cache(maxsize=2)
+def _lift_orbit(q):
+    """The cells of the orbit of lifted_cycle_pair(q, range(q // 2))."""
+    return frozenset(_orbit_closure([lifted_cycle_pair(q, range(q // 2))]))
 
 
-def test_is_image_guard():
-    """Refused beyond n <= 5, q <= 5, also when the cell sizes differ."""
-    p = TwoPartition.from_vertices(GraphParams(2, 6), [0])
-    with pytest.raises(search.GuardError, match="image test guarded to n <= 5, q <= 5"):
-        search._is_image(p, 3)
+def test_cycle_pair_recognizer_matches_lift_orbit(monkeypatch):
+    """_match_cycle_pair_lifting gives the first split and pair on every
+    cell of the orbit of a lift, and _match_switching none.  On H(4, 2)
+    the orbit's 24 cells are the reduced lambda_2 cells; on H(4, 4) its
+    1,944 cells are 24 * (C(4, 2) / 2)^4, the number of distinct lifts.  A
+    one-bit flip of each orbit cell is refused by both recognizers."""
+    pairs = search._cycle_pairs_h42()
+    # the search for the tag's pair runs once, not once per cell
+    monkeypatch.setattr(search, "_cycle_pairs_h42", lambda: pairs)
+    reduced = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2, reduced_only=True))
+    assert _lift_orbit(2) == {p.cell for p in reduced}
+    assert len(_lift_orbit(4)) == 24 * (comb(4, 2) // 2) ** 4 == 1944
+    rng = random.Random(12)
+    for q in (2, 4):
+        params = GraphParams(4, q)
+        tag = CyclePairLifting(split=frozenset(range(q // 2)), cycle_pair=pairs[0])
+        for cell in sorted(_lift_orbit(q)):
+            p = TwoPartition(params, cell)
+            assert search._match_cycle_pair_lifting(p) == tag, (q, cell)
+            assert search._match_switching(p) is None, (q, cell)
+            flipped = TwoPartition(params, cell ^ 1 << rng.randrange(params.vertex_count))
+            assert search._match_cycle_pair_lifting(flipped) is None, (q, cell)
+            assert search._match_switching(flipped) is None, (q, cell)
 
 
 def test_ternary_census_counts():
@@ -540,8 +594,9 @@ def test_classify_lifted_q4():
     tag = classify_reduced_lambda2(p)
     assert isinstance(tag, CyclePairLifting)
     rebuilt = lifted_cycle_pair(4, tag.split, tag.cycle_pair)
-    # H(4, 4) has 4! * (4!)^4 automorphisms, too many to sweep
-    assert search._is_image(rebuilt, p.cell)
+    # H(4, 4) has 4! * (4!)^4 automorphisms, too many to sweep, but only
+    # 1,944 images of a lift
+    assert {rebuilt.cell, p.cell} <= _lift_orbit(4)
 
 
 def test_classify_never_warns_on_reduced_h42():
@@ -599,9 +654,10 @@ def test_counts_sum_over_essential_coordinates():
 
 
 def test_cycle_pair_lifts_form_one_class():
-    """For q = 2 and 4, the lift of every induced-8-cycle pair over every
-    split is an image of the first lift under an automorphism of H(4, q),
-    so _match_cycle_pair_lifting may compare with the first lift only.
+    """For q = 2, 4, 6 and 8, the lift of every induced-8-cycle pair over
+    every split is an image of the first lift under an automorphism of
+    H(4, q), so _match_cycle_pair_lifting may tag every lift with the
+    first split and pair.
 
     The automorphism (coordinate permutation pi, flips a_k) of H(4, 2)
     that takes the first pair to a pair lifts to H(4, q): at coordinate k,
@@ -618,7 +674,7 @@ def test_cycle_pair_lifts_form_one_class():
         )
         for pair in pairs
     ]
-    for q in (2, 4):
+    for q in (2, 4, 6, 8):
         splits = list(itertools.combinations(range(q), q // 2))
         blocks0 = (splits[0], tuple(s for s in range(q) if s not in splits[0]))
         base = lifted_cycle_pair(q, splits[0], first)
