@@ -17,11 +17,10 @@ which every coordinate is essential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .hamming import Automorphism, GraphParams, digit_masks, digit_table, neighbor_table
+from .hamming import Automorphism, GraphParams, Record, digit_masks, digit_table, neighbor_table
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
@@ -34,8 +33,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class AlphabetBlocks:
+class AlphabetBlocks(Record):
     """An ordered partition of the alphabet {0..q-1} into nonempty blocks."""
 
     blocks: tuple[frozenset[int], ...]
@@ -67,7 +65,6 @@ class AlphabetBlocks:
         return out
 
 
-@dataclass(frozen=True)
 class LiftBlocks(AlphabetBlocks):
     """Alphabet blocks of equal size m; block t lifts base symbol t."""
 

@@ -12,14 +12,13 @@ ceil(q^n / 4) characters.  The induced-8-cycle cell of H(4, 2) reads
 "e427".
 
 Results go out through to_json: a partition as its document, alphabet
-blocks as their "0,1|2,3" text, any other dataclass as an object of its
-fields, tuples and sets as lists, fractions as "p/q" strings.  tagged adds
-the class name in snake case under "kind".
+blocks as their "0,1|2,3" text, any other hamming.Record as an object of
+its fields, tuples and sets as lists, fractions as "p/q" strings.  tagged
+adds the class name in snake case under "kind".
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -27,7 +26,7 @@ from typing import Any, Mapping
 
 from .constructions import AlphabetBlocks
 from .eigenfunctions import VertexFunction
-from .hamming import GraphParams
+from .hamming import GraphParams, Record
 from .partitions import TwoPartition
 
 FORMAT_VERSION = 1
@@ -195,13 +194,13 @@ def blocks_to_text(blocks: tuple[frozenset[int], ...]) -> str:
 
 def to_json(obj: Any) -> Any:
     """The JSON value of a result: a partition document, blocks text, or
-    the fields of a dataclass under their own names, converted in turn."""
+    the fields of a Record under their own names, converted in turn."""
     if isinstance(obj, TwoPartition):
         return partition_to_doc(obj)
     if isinstance(obj, AlphabetBlocks):
         return blocks_to_text(obj.blocks)
-    if dataclasses.is_dataclass(obj):
-        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Record):
+        return {name: to_json(getattr(obj, name)) for name in obj._fields}
     if isinstance(obj, tuple):
         return [to_json(x) for x in obj]
     if isinstance(obj, frozenset):

@@ -10,12 +10,12 @@ and the quasi-crosses (supported on two).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Union
 
 from .hamming import (
     GraphParams,
+    Record,
     coordinate_stride,
     digit_table,
     eigenvalue,
@@ -29,8 +29,7 @@ from .partitions import QuotientMatrix, TwoPartition, quotient_eigenvalues
 MAX_ABS_VALUE = 1 << 20
 
 
-@dataclass(frozen=True)
-class VertexFunction:
+class VertexFunction(Record):
     """A function from vertex indices to integers, stored densely."""
 
     params: GraphParams
@@ -155,16 +154,14 @@ def in_top_two_eigenspaces(f: VertexFunction) -> bool:
 # --- classified shapes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Constant:
+class Constant(Record):
     value: int
 
     def build(self, params: GraphParams) -> VertexFunction:
         return constant_function(params, self.value)
 
 
-@dataclass(frozen=True)
-class QuasiString:
+class QuasiString(Record):
     plus: frozenset[int]
     minus: frozenset[int]
     coordinate: int
@@ -173,8 +170,7 @@ class QuasiString:
         return quasi_string(params, self.plus, self.minus, self.coordinate)
 
 
-@dataclass(frozen=True)
-class QuasiCross:
+class QuasiCross(Record):
     plus: frozenset[int]
     minus: frozenset[int]
     coordinate_i: int
@@ -184,18 +180,15 @@ class QuasiCross:
         return quasi_cross(params, self.plus, self.minus, self.coordinate_i, self.coordinate_j)
 
 
-@dataclass(frozen=True)
-class NotMember:
+class NotMember(Record):
     pass
 
 
-@dataclass(frozen=True)
-class AllZero:
+class AllZero(Record):
     pass
 
 
-@dataclass(frozen=True)
-class NotEigen:
+class NotEigen(Record):
     pass
 
 

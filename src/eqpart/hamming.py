@@ -13,22 +13,99 @@ n(q-1).  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from operator import attrgetter
+from typing import Any, Sequence
 
 # Hard ceiling on q^n so vertex indices stay comfortably machine-sized.
 MAX_VERTICES = 1 << 32
 
 
-@dataclass(frozen=True)
-class GraphParams:
-    """The pair (n, q) defining H(n, q), with derived sizes attached."""
+class Record:
+    """Base of the package's immutable value classes.
+
+    The fields of a subclass are its annotated names, those of its bases
+    first; a class attribute of the same name is the field's default.
+    Construction takes the fields by position or keyword, sets them, and
+    then calls __post_init__.  Two records are equal iff they are of the
+    same class with equal field tuples, and the hash is the hash of that
+    tuple.  Assigning or deleting an attribute raises AttributeError; a
+    __post_init__ that derives more attributes sets them with
+    object.__setattr__.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, Any] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        names = cls._fields + tuple(name for name in own if name not in cls._fields)
+        cls._fields = names
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+        # the field tuple; attrgetter returns a tuple for two or more names only
+        cls._key = staticmethod(attrgetter(*names) if len(names) > 1 else
+                                lambda record: tuple([getattr(record, n) for n in names]))
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        set_field = object.__setattr__
+        for i, name in enumerate(fields):
+            set_field(self, name, args[i])
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict[str, Any]) -> list[Any]:
+        """The field values in order, from positions, keywords and defaults."""
+        name = cls.__name__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name} takes {len(cls._fields)} fields, got {len(args)}")
+        values = list(args)
+        for field in cls._fields[len(args):]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in cls._defaults:
+                values.append(cls._defaults[field])
+            else:
+                raise TypeError(f"{name} is missing field {field!r}")
+        if kwargs:
+            raise TypeError(f"{name} got unknown or repeated fields {sorted(kwargs)}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class GraphParams(Record):
+    """The pair (n, q) defining H(n, q).
+
+    __post_init__ attaches the derived sizes vertex_count = q^n and
+    degree = n(q - 1), which are not fields.
+    """
 
     n: int
     q: int
-    vertex_count: int = field(init=False, repr=False, compare=False)
-    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -234,8 +311,7 @@ def essential_coordinates_of_values(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """A map y = g(x) with y_k = alpha_k(x_{pi(k)}).
 
     coord_perm[k-1] = pi(k) says which source coordinate feeds target

@@ -9,7 +9,6 @@ integers; rationals use fractions.Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
@@ -18,6 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .hamming import (
     Automorphism,
     GraphParams,
+    Record,
     digit_masks,
     digit_table,
     eigenvalue,
@@ -26,8 +26,7 @@ from .hamming import (
 )
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(Record):
     """2x2 matrix of neighbor counts, rows indexed by cell."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -42,8 +41,7 @@ class QuotientMatrix:
         return tuple(sum(row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class NotEquitable:
+class NotEquitable(Record):
     """Witness that a partition is not equitable.
 
     vertices = (u, v) lie in the same cell but have count_u != count_v
@@ -57,8 +55,7 @@ class NotEquitable:
     counts: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class FiberMismatch:
+class FiberMismatch(Record):
     """A fiber {x in C : x_k = symbol} with an unexpected size."""
 
     coordinate: int
@@ -71,8 +68,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _BYTE_BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-@dataclass(frozen=True)
-class TwoPartition:
+class TwoPartition(Record):
     """An ordered 2-partition (C, complement) of H(n, q).
 
     cell is an integer bitset with bit v set iff vertex v lies in C.

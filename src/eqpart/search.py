@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from operator import itemgetter
@@ -53,6 +52,7 @@ from .eigenfunctions import (
 from .hamming import (
     Automorphism,
     GraphParams,
+    Record,
     digit_masks,
     digit_table,
     eigenvalue,
@@ -81,8 +81,7 @@ _SHARD_DEPTH = 10               # shards are the live states at this vertex
 _Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
 
 
-@dataclass(frozen=True)
-class EnumConstraints:
+class EnumConstraints(Record):
     """Restrictions applied while enumerating 2-partitions.
 
     At most one of quotient / eigenvalue_index may be set.  reduced_only
@@ -465,8 +464,7 @@ def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
 # --- ternary function census -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TernaryCensus:
+class TernaryCensus(Record):
     """Exact counts of the classifier outcomes over all ternary functions."""
 
     constants: int
@@ -562,8 +560,7 @@ def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
 # --- classification of reduced lambda_2 partitions ---------------------------
 
 
-@dataclass(frozen=True)
-class SmallBase:
+class SmallBase(Record):
     """Reduced lambda_2 partition on n <= 3 coordinates: a base case.
 
     secondary_switching records, when requested, whether the partition is
@@ -574,41 +571,40 @@ class SmallBase:
     secondary_switching: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class CyclePairLifting:
+class CyclePairLifting(Record):
     """Isomorphic to an alphabet lift of an induced-8-cycle pair."""
 
     split: frozenset[int]
     cycle_pair: TwoPartition
 
 
-@dataclass(frozen=True)
-class SwitchingConstruction:
+class SwitchingConstruction(Record):
     """Isomorphic to a permutation-switching output."""
 
     blocks: AlphabetBlocks
     base: TwoPartition
 
 
-@dataclass(frozen=True)
-class Unclassified:
+class Unclassified(Record):
     pass
 
 
 ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Unclassified]
 
 
-def _cycle_pairs_h42() -> list[TwoPartition]:
+@lru_cache(maxsize=1)
+def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
     """The 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
     in lexicographic order of their ascending vertex tuples (not in cell
     bitset order).  classify-t5 tags every lifted cycle pair with the
     first pair, so this order is part of its output.  Both
     cells are 2-regular iff the quotient is [[2, 2], [2, 2]], a quotient
-    whose cells the search finds together with their complements."""
+    whose cells the search finds together with their complements.  The
+    search runs once per process."""
     params = GraphParams(4, 2)
     found = backtracking_enumerate(params, EnumConstraints(quotient=QuotientMatrix(((2, 2),) * 2)))
     cycles = [p for p in found if is_induced_cycle(params, p.vertices()) == 8]
-    return sorted((p for p in cycles if p.complement() in cycles), key=TwoPartition.vertices)
+    return tuple(sorted((p for p in cycles if p.complement() in cycles), key=TwoPartition.vertices))
 
 
 def _slices(params: GraphParams, cell: int, k: int) -> list[int]:

@@ -479,17 +479,19 @@ def test_bad_usage():
 
 
 def test_module_entry_point_runs_the_cli():
-    """python -m eqpart.cli runs a command as run_command does: a quotient
-    with the wrong row sums exits 2 with the same one stderr line."""
+    """python -m eqpart.cli and python -m eqpart run a command as
+    run_command does: a quotient with the wrong row sums exits 2 with the
+    same one stderr line."""
     argv = ["enumerate", "--n", "2", "--q", "2", "--quotient", "0,1;1,0"]
     code, out, err = run(argv)
     assert (code, out) == (2, "") and err.startswith("error: ")
     src = str(Path(eqpart.cli.__file__).resolve().parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    child = subprocess.run([sys.executable, "-m", "eqpart.cli", *argv],
-                           capture_output=True, text=True, env=env, timeout=60)
-    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+    for module in ("eqpart.cli", "eqpart"):
+        child = subprocess.run([sys.executable, "-m", module, *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err), module
 
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")

@@ -1,12 +1,25 @@
-"""Vertex codec, neighbor structure, and automorphisms."""
+"""Vertex codec, neighbor structure, automorphisms, and the Record base."""
 
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
+from eqpart.constructions import AlphabetBlocks, LiftBlocks
+from eqpart.eigenfunctions import (
+    AllZero,
+    Constant,
+    NotEigen,
+    NotMember,
+    QuasiCross,
+    QuasiString,
+    VertexFunction,
+)
 from eqpart.hamming import (
     Automorphism,
     GraphParams,
+    Record,
     apply_automorphism,
     coordinate_stride,
     decode_vertex,
@@ -19,6 +32,15 @@ from eqpart.hamming import (
     neighbors,
     random_automorphism,
     vertex_map,
+)
+from eqpart.partitions import FiberMismatch, NotEquitable, QuotientMatrix, TwoPartition
+from eqpart.search import (
+    CyclePairLifting,
+    EnumConstraints,
+    SmallBase,
+    SwitchingConstruction,
+    TernaryCensus,
+    Unclassified,
 )
 
 PARAMS = [GraphParams(2, 2), GraphParams(3, 2), GraphParams(2, 3), GraphParams(2, 4), GraphParams(3, 3)]
@@ -182,3 +204,103 @@ def test_automorphism_preserves_adjacency():
             assert sorted(vm) == list(range(params.vertex_count))
             for v in range(params.vertex_count):
                 assert sorted(vm[w] for w in table[v]) == sorted(table[vm[v]])
+
+
+# --- Record: the base of every value class ----------------------------------
+
+_H22 = GraphParams(2, 2)
+_BLOCKS = (frozenset({0, 1}), frozenset({2, 3}))
+# one record of each Record subclass in the package
+RECORDS = [
+    GraphParams(2, 3),
+    Automorphism((2, 1), ((1, 0, 2), (0, 1, 2))),
+    QuotientMatrix(((1, 1), (1, 1))),
+    NotEquitable(0, (0, 1), 1, (1, 2)),
+    FiberMismatch(1, 0, 2, Fraction(3, 2)),
+    TwoPartition(_H22, 0b0011),
+    VertexFunction(GraphParams(1, 2), (1, -1)),
+    Constant(1),
+    QuasiString(frozenset({0}), frozenset({1}), 1),
+    QuasiCross(frozenset({0}), frozenset({1}), 1, 2),
+    NotMember(),
+    AllZero(),
+    NotEigen(),
+    AlphabetBlocks(_BLOCKS),
+    LiftBlocks(_BLOCKS),
+    EnumConstraints(eigenvalue_index=2, reduced_only=True),
+    TernaryCensus(1, 2, 3, 4),
+    SmallBase(True),
+    CyclePairLifting(frozenset({0}), TwoPartition(_H22, 0b0110)),
+    SwitchingConstruction(AlphabetBlocks(_BLOCKS[:1]), TwoPartition(_H22, 0b1000)),
+    Unclassified(),
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_records_cover_every_record_class():
+    classes = [type(r) for r in RECORDS]
+    assert len(set(classes)) == len(classes) == 21
+    assert set(classes) == set(_subclasses(Record))
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_contract(record):
+    """A record equals a record of its class built from its field tuple,
+    and no record of another class; its hash is that tuple's hash; it
+    survives pickling; no attribute can be assigned or deleted."""
+    cls = type(record)
+    values = tuple(getattr(record, name) for name in cls._fields)
+    twin = cls(*values)
+    assert twin == record and twin is not record
+    assert hash(record) == hash(twin) == hash(values)
+    assert record != values
+    for other in RECORDS:
+        assert (other == record) == (other is record)
+    body = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+    assert repr(record) == f"{cls.__name__}({body})"
+    clone = pickle.loads(pickle.dumps(record))
+    assert clone == record and hash(clone) == hash(record)
+    assert vars(clone) == vars(record)
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in cls._fields) == values
+
+
+def test_record_fields_defaults_and_repr():
+    """Fields come in annotation order, base classes first; a class
+    attribute gives the default; GraphParams' derived sizes are attributes
+    set by __post_init__, not fields."""
+    params = GraphParams(2, 3)
+    assert GraphParams._fields == ("n", "q")
+    assert (params.vertex_count, params.degree) == (9, 4)
+    assert repr(params) == "GraphParams(n=2, q=3)"
+    assert GraphParams(n=2, q=3) == GraphParams(2, q=3) == params
+    assert LiftBlocks._fields == AlphabetBlocks._fields == ("blocks",)
+    assert LiftBlocks(_BLOCKS) != AlphabetBlocks(_BLOCKS)
+    assert len({NotMember(), AllZero(), NotEigen(), Unclassified()}) == 4
+    assert NotMember() == NotMember() and hash(NotMember()) == hash(())
+    assert EnumConstraints() == EnumConstraints(None, None, False, False)
+    assert EnumConstraints(reduced_only=True) == EnumConstraints(None, None, True)
+    assert SmallBase() == SmallBase(secondary_switching=None)
+    assert SmallBase(True) != SmallBase(False)
+    for args, kwargs in [((2,), {}), ((2, 3, 4), {}), ((2,), {"n": 3}), ((2, 3), {"r": 1})]:
+        with pytest.raises(TypeError):
+            GraphParams(*args, **kwargs)
+
+
+def test_record_runs_every_post_init():
+    """LiftBlocks runs its own check and, through super(), the check of
+    AlphabetBlocks."""
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        LiftBlocks((frozenset({0, 1}), frozenset({1, 2})))
+    with pytest.raises(ValueError, match="same size"):
+        LiftBlocks((frozenset({0}), frozenset({1, 2})))
+    assert AlphabetBlocks((frozenset({0}), frozenset({1, 2}))).q == 3

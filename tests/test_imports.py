@@ -20,26 +20,35 @@ MODULES = ("hamming", "partitions", "eigenfunctions", "constructions", "search",
 SRC = str(Path(eqpart.__file__).resolve().parent.parent)
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_alone(module):
+def _loaded_by(module):
+    """The names in sys.modules after import eqpart.<module> in a fresh
+    interpreter."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    child = subprocess.run([sys.executable, "-c", f"import eqpart.{module}"],
+    code = f"import sys, eqpart.{module}; print(*sys.modules, sep='\\n')"
+    child = subprocess.run([sys.executable, "-c", code],
                            capture_output=True, text=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr
+    return set(child.stdout.split())
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    assert f"eqpart.{module}" in _loaded_by(module)
 
 
 def test_cli_import_leaves_out_the_process_pool():
     """Only enumerate --threads > 1 uses a process pool; every other command
     starts without importing its machinery."""
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    code = ("import sys, eqpart.cli; "
-            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
-    child = subprocess.run([sys.executable, "-c", code],
-                           capture_output=True, text=True, env=env, timeout=60)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout == "[]\n"
+    assert not {"concurrent.futures.process", "multiprocessing"} & _loaded_by("cli")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_import_leaves_out_dataclasses_and_inspect(module):
+    """The value classes derive from hamming.Record, so no command pays at
+    start-up for dataclasses, the inspect, ast and dis modules it loads, or
+    the methods it generates for each class."""
+    assert not {"dataclasses", "inspect"} & _loaded_by(module)
 
 
 def test_only_hamming_decodes_vertices():

@@ -475,15 +475,13 @@ def _lift_orbit(q):
     return frozenset(_orbit_closure([lifted_cycle_pair(q, range(q // 2))]))
 
 
-def test_cycle_pair_recognizer_matches_lift_orbit(monkeypatch):
+def test_cycle_pair_recognizer_matches_lift_orbit():
     """_match_cycle_pair_lifting gives the first split and pair on every
     cell of the orbit of a lift, and _match_switching none.  On H(4, 2)
     the orbit's 24 cells are the reduced lambda_2 cells; on H(4, 4) its
     1,944 cells are 24 * (C(4, 2) / 2)^4, the number of distinct lifts.  A
     one-bit flip of each orbit cell is refused by both recognizers."""
     pairs = search._cycle_pairs_h42()
-    # the search for the tag's pair runs once, not once per cell
-    monkeypatch.setattr(search, "_cycle_pairs_h42", lambda: pairs)
     reduced = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2, reduced_only=True))
     assert _lift_orbit(2) == {p.cell for p in reduced}
     assert len(_lift_orbit(4)) == 24 * (comb(4, 2) // 2) ** 4 == 1944
@@ -498,6 +496,8 @@ def test_cycle_pair_recognizer_matches_lift_orbit(monkeypatch):
             flipped = TwoPartition(params, cell ^ 1 << rng.randrange(params.vertex_count))
             assert search._match_cycle_pair_lifting(flipped) is None, (q, cell)
             assert search._match_switching(flipped) is None, (q, cell)
+    # the search for the tag's pair ran once in this process, not once per cell
+    assert search._cycle_pairs_h42.cache_info().misses == 1
 
 
 def test_ternary_census_counts():
