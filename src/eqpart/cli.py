@@ -273,7 +273,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_classify_t5(args: argparse.Namespace) -> int:
     p = partition_from_doc(_read_doc(args.input))
     try:
-        tag = classify_reduced_lambda2(p, check_secondary=args.check_secondary)
+        tag = classify_reduced_lambda2(p)
     except ValueError as exc:
         _print_json({"error": str(exc)})
         return 1
@@ -344,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("classify-t5", help="tag a reduced second-eigenvalue partition")
     s.add_argument("input", help="partition document path, or - for stdin")
-    s.add_argument("--check-secondary", action="store_true",
-                   help="also test small bases against the switching construction")
     s.set_defaults(func=_cmd_classify_t5)
 
     s = sub.add_parser("sweep-ternary", help="classify every ternary function")

@@ -31,13 +31,12 @@ from __future__ import annotations
 import os
 import warnings
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 from .constructions import (
     AlphabetBlocks,
-    is_induced_cycle,
     lifted_cycle_pair,
     permutation_switching,
 )
@@ -76,7 +75,10 @@ BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
 # finishes in minutes (H(3, 4), 64 vertices, takes about 2 s at index 2,
 # and H(3, 5), 125 vertices, about 2.5 min).
 BACKTRACK_LIMIT = 512
-TERNARY_SWEEP_LIMIT = 1 << 24   # bound on 3^(q^n) for the function sweep
+# Census bounds: q^n <= 18 keeps each half of the join at most 3^9 keys, and
+# the closed-form member count bounds the classify calls, one per member.
+TERNARY_VERTEX_LIMIT = 18
+TERNARY_MEMBER_LIMIT = 1 << 16
 _SHARD_DEPTH = 10               # shards are the live states at this vertex
 _Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
 
@@ -537,12 +539,19 @@ def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
     - test_ternary_census_counts holds the counts to their closed form
       3 + n(3^q - 3) + C(n, 2)(2^q - 2)^2.
 
-    Guarded to 3^(q^n) <= 2^24.
+    Guarded to q^n <= 18 and to at most 2^16 members by that closed form.
     """
-    n_vertices = params.vertex_count
-    # 3^15 <= 2^24 < 3^16: refuse larger graphs before computing the power
-    if n_vertices > 15 or 3 ** n_vertices > TERNARY_SWEEP_LIMIT:
-        raise ValueError(f"ternary sweep guarded to 3^(q^n) <= {TERNARY_SWEEP_LIMIT}")
+    n, q, n_vertices = params.n, params.q, params.vertex_count
+    # the vertex bound comes first, so that no power below exceeds 3^18
+    if n_vertices > TERNARY_VERTEX_LIMIT:
+        raise ValueError(
+            f"ternary sweep guarded to q^n <= {TERNARY_VERTEX_LIMIT}, got {n_vertices}"
+        )
+    members = 3 + n * (3 ** q - 3) + comb(n, 2) * (2 ** q - 2) ** 2
+    if members > TERNARY_MEMBER_LIMIT:
+        raise ValueError(
+            f"ternary sweep guarded to {TERNARY_MEMBER_LIMIT} members, got {members}"
+        )
     counts = {Constant: 0, QuasiString: 0, QuasiCross: 0}
     for values in _ternary_members(params):
         form = classify_top_two(VertexFunction(params, values))
@@ -563,12 +572,11 @@ def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
 class SmallBase(Record):
     """Reduced lambda_2 partition on n <= 3 coordinates: a base case.
 
-    secondary_switching records, when requested, whether the partition is
-    also isomorphic to a permutation-switching output; None means the
-    check was not run.
+    secondary_switching records whether the partition is also isomorphic
+    to a permutation-switching output.
     """
 
-    secondary_switching: Optional[bool] = None
+    secondary_switching: bool
 
 
 class CyclePairLifting(Record):
@@ -592,19 +600,9 @@ class Unclassified(Record):
 ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Unclassified]
 
 
-@lru_cache(maxsize=1)
-def _cycle_pairs_h42() -> tuple[TwoPartition, ...]:
-    """The 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
-    in lexicographic order of their ascending vertex tuples (not in cell
-    bitset order).  classify-t5 tags every lifted cycle pair with the
-    first pair, so this order is part of its output.  Both
-    cells are 2-regular iff the quotient is [[2, 2], [2, 2]], a quotient
-    whose cells the search finds together with their complements.  The
-    search runs once per process."""
-    params = GraphParams(4, 2)
-    found = backtracking_enumerate(params, EnumConstraints(quotient=QuotientMatrix(((2, 2),) * 2)))
-    cycles = [p for p in found if is_induced_cycle(params, p.vertices()) == 8]
-    return tuple(sorted((p for p in cycles if p.complement() in cycles), key=TwoPartition.vertices))
+# The least of the 24 induced-8-cycle pairs of H(4, 2) by ascending vertex
+# tuple (vertices 0, 1, 2, 5, 10, 13, 14, 15): the pair every lift is tagged with.
+_TAG_CYCLE_PAIR = TwoPartition(GraphParams(4, 2), 0xE427)
 
 
 def _slices(params: GraphParams, cell: int, k: int) -> list[int]:
@@ -615,8 +613,8 @@ def _slices(params: GraphParams, cell: int, k: int) -> list[int]:
 
 
 def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
-    """The tag of the first split and cycle pair if p is isomorphic to a
-    lifted cycle pair, else None.
+    """The tag of the first split and _TAG_CYCLE_PAIR if p is isomorphic
+    to a lifted cycle pair, else None.
 
     A lift is constant on the two blocks of its split along each
     coordinate, so along coordinate k the slices of p must take two
@@ -626,7 +624,7 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
     otherwise).  Its lift moved by the betas is then p itself, which is
     asserted.  The lifts of all 24 cycle pairs over all splits form one
     isomorphism class (test_cycle_pair_lifts_form_one_class), so the tag
-    names the first split and pair.
+    names the first split and the least pair.
     """
     params = p.params
     q = params.q
@@ -650,7 +648,7 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
         return None
     if transform(lift, Automorphism((1, 2, 3, 4), tuple(betas))) != p:
         raise AssertionError(f"the lift read off {p.cell:#x} does not rebuild it")
-    return CyclePairLifting(split=frozenset(range(half)), cycle_pair=_cycle_pairs_h42()[0])
+    return CyclePairLifting(split=frozenset(range(half)), cycle_pair=_TAG_CYCLE_PAIR)
 
 
 def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
@@ -700,22 +698,20 @@ def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
     return None
 
 
-def classify_reduced_lambda2(
-    p: TwoPartition, check_secondary: bool = False
-) -> ReducedLambda2Tag:
+def classify_reduced_lambda2(p: TwoPartition) -> ReducedLambda2Tag:
     """Tag a reduced equitable lambda_2 partition by the construction
     family that produces it.
 
     Preconditions (ValueError): p is equitable, its second quotient
     eigenvalue is lambda_2(n, q), and every coordinate is essential.
-    n <= 3 is tagged SmallBase outright (set check_secondary to also
-    record whether a switching construction matches).  For n >= 4 the
-    cycle-pair lifting recognizer runs first, then the switching
-    recognizer.  Each reads its construction's parameters off the slices
-    of p and rebuilds p from them, so neither walks the automorphism group
-    and neither has a guard.  Every reduced lambda_2 partition is expected
-    to match a family; an Unclassified result is flagged loudly because it
-    would be a counterexample to that classification.
+    n <= 3 is tagged SmallBase, which records whether the switching
+    recognizer also matches.  For n >= 4 the cycle-pair lifting
+    recognizer runs first, then the switching recognizer.  Each reads its
+    construction's parameters off the slices of p and rebuilds p from
+    them, so neither walks the automorphism group and neither has a guard.
+    Every reduced lambda_2 partition is expected to match a family; an
+    Unclassified result is flagged loudly because it would be a
+    counterexample to that classification.
     """
     params = p.params
     s = equitable_check(p)
@@ -729,9 +725,7 @@ def classify_reduced_lambda2(
     if len(essential_coordinates(p)) != params.n:
         raise ValueError("partition is not reduced; delete nonessential coordinates first")
     if params.n <= 3:
-        if check_secondary:
-            return SmallBase(secondary_switching=_match_switching(p) is not None)
-        return SmallBase()
+        return SmallBase(secondary_switching=_match_switching(p) is not None)
     tag = _match_cycle_pair_lifting(p)
     if tag is not None:
         return tag

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import eqpart.cli
+import eqpart.search
 from eqpart.cli import run_command
 from eqpart.constructions import eight_cycle_partition
 from eqpart.documents import hex_to_cell, partition_from_doc, partition_to_doc
@@ -340,13 +341,24 @@ def test_enumerate_usage_errors():
     assert code == 2 and "threads" in err
 
 
-def test_classify_t5(tmp_path):
-    code, out, _ = run(["classify-t5", write_doc(tmp_path, "p.json", EIGHT)])
+def test_classify_t5(tmp_path, monkeypatch):
+    """The tag's cycle pair is a constant, so tagging the H(4, 2) pair and
+    an H(4, 4) lift runs no enumeration."""
+    code, out, _ = run(["construct-b", "--q", "4", "--split", "0,1"])
     assert code == 0
-    tag = json.loads(out)["tag"]
-    assert tag["kind"] == "cycle_pair_lifting"
-    assert tag["split"] == [0]
-    assert tag["cycle_pair"]["n"] == 4
+    lift = write_doc(tmp_path, "lift.json", json.loads(out)["partition"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify-t5 ran a search")
+
+    monkeypatch.setattr(eqpart.search, "backtracking_enumerate", refuse)
+    for path, split in ((write_doc(tmp_path, "p.json", EIGHT), [0]), (lift, [0, 1])):
+        code, out, err = run(["classify-t5", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["tag"] == {
+            "kind": "cycle_pair_lifting", "split": split,
+            "cycle_pair": {"format_version": 1, "n": 4, "q": 2, "cell": "724e"},
+        }
 
 
 def test_classify_t5_small_base(tmp_path):
@@ -354,9 +366,18 @@ def test_classify_t5_small_base(tmp_path):
     path = write_doc(tmp_path, "p.json", doc)
     code, out, _ = run(["classify-t5", path])
     assert code == 0
-    assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": None}
-    code, out, _ = run(["classify-t5", path, "--check-secondary"])
     assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": True}
+    # both reduced lambda_2 classes of H(3, 3): no switching gives them
+    for cell in ("2815e20", "6d9fe71"):
+        doc = {"format_version": 1, "n": 3, "q": 3, "cell": cell}
+        code, out, err = run(["classify-t5", write_doc(tmp_path, f"{cell}.json", doc)])
+        assert (code, err) == (0, ""), cell
+        assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": False}
+    # small bases always answer, so there is no option to ask
+    code, out, err = run(["classify-t5", path, "--check-secondary"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "eqpart: error: unrecognized arguments: --check-secondary"
+    assert "Traceback" not in err
 
 
 def test_classify_t5_secondary_on_h25(tmp_path):
@@ -370,8 +391,7 @@ def test_classify_t5_secondary_on_h25(tmp_path):
     # the first is the anti-diagonal x + y = 4
     for cell in ("0111110", "892b130", "89aa230", "c57e370", "c57d570", "ebfebf0"):
         doc = {"format_version": 1, "n": 2, "q": 5, "cell": cell}
-        code, out, err = run(["classify-t5", write_doc(tmp_path, f"{cell}.json", doc),
-                              "--check-secondary"])
+        code, out, err = run(["classify-t5", write_doc(tmp_path, f"{cell}.json", doc)])
         assert (code, err) == (0, ""), cell
         assert json.loads(out) == {"tag": {"kind": "small_base", "secondary_switching": True}}
     assert time.perf_counter() - start < 20.0
@@ -390,7 +410,7 @@ def test_classify_t5_preconditions(tmp_path):
 
 def test_classify_t5_guard_refusals(tmp_path):
     """classify-t5 refuses no graph for its size: the H(4, 6) lift of
-    construct-b, --check-secondary on H(2, 6), and the H(4, 6) switching of
+    construct-b, a small base of H(2, 6), and the H(4, 6) switching of
     construct-a and a seeded image of it are all tagged.  The switching
     itself prints back its own blocks and base."""
     code, out, _ = run(["construct-b", "--q", "6", "--split", "0,1,2"])
@@ -405,12 +425,9 @@ def test_classify_t5_guard_refusals(tmp_path):
     # the two cells of H(2, 6) split by (x < 3) != (y < 3)
     base = write_doc(tmp_path, "h26.json",
                      {"format_version": 1, "n": 2, "q": 6, "cell": "83e8f17c1"})
-    code, out, err = run(["classify-t5", base, "--check-secondary"])
-    assert (code, err) == (0, "")
-    assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": True}
     code, out, err = run(["classify-t5", base])
     assert (code, err) == (0, "")
-    assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": None}
+    assert json.loads(out)["tag"] == {"kind": "small_base", "secondary_switching": True}
     # the checkerboard x + y even, switched along three blocks
     checkerboard = {"format_version": 1, "n": 2, "q": 6, "cell": "59a59a59a"}
     code, out, _ = run(["construct-a", "--blocks", "0,1|2,3|4,5", "--base",
@@ -434,7 +451,13 @@ def test_sweep_ternary():
         "constants": 3, "quasi_strings": 12, "quasi_crosses": 4,
         "not_member": 62, "members": 19, "total": 81,
     }
-    code, _, err = run(["sweep-ternary", "--n", "2", "--q", "4"])
+    code, out, _ = run(["sweep-ternary", "--n", "2", "--q", "4"])
+    assert code == 0
+    assert json.loads(out) == {
+        "constants": 3, "quasi_strings": 156, "quasi_crosses": 196,
+        "not_member": 3 ** 16 - 355, "members": 355, "total": 3 ** 16,
+    }
+    code, _, err = run(["sweep-ternary", "--n", "3", "--q", "3"])
     assert code == 2 and "guarded" in err
 
 

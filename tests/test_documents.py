@@ -172,7 +172,7 @@ def test_to_json_and_tagged():
         NotMember(): "not_member",
         AllZero(): "all_zero",
         NotEigen(): "not_eigen",
-        SmallBase(): "small_base",
+        SmallBase(False): "small_base",
         CyclePairLifting(frozenset({0}), eight_cycle_partition()): "cycle_pair_lifting",
         SwitchingConstruction(blocks, base): "switching_construction",
         Unclassified(): "unclassified",

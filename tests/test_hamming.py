@@ -289,8 +289,10 @@ def test_record_fields_defaults_and_repr():
     assert NotMember() == NotMember() and hash(NotMember()) == hash(())
     assert EnumConstraints() == EnumConstraints(None, None, False, False)
     assert EnumConstraints(reduced_only=True) == EnumConstraints(None, None, True)
-    assert SmallBase() == SmallBase(secondary_switching=None)
+    assert EnumConstraints(up_to_iso=True) == EnumConstraints(up_to_iso=True, quotient=None)
     assert SmallBase(True) != SmallBase(False)
+    with pytest.raises(TypeError, match="missing field 'secondary_switching'"):
+        SmallBase()
     for args, kwargs in [((2,), {}), ((2, 3, 4), {}), ((2,), {"n": 3}), ((2, 3), {"r": 1})]:
         with pytest.raises(TypeError):
             GraphParams(*args, **kwargs)

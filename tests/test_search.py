@@ -18,18 +18,12 @@ from eqpart.cli import run_command
 from eqpart.constructions import (
     AlphabetBlocks,
     eight_cycle_partition,
+    is_induced_cycle,
     lifted_cycle_pair,
     permutation_switching,
 )
 from eqpart.documents import cell_to_hex, hex_to_cell
-from eqpart.eigenfunctions import (
-    Constant,
-    QuasiCross,
-    QuasiString,
-    VertexFunction,
-    classify_top_two,
-    in_top_two_eigenspaces,
-)
+from eqpart.eigenfunctions import VertexFunction, in_top_two_eigenspaces
 from eqpart.hamming import Automorphism, GraphParams, vertex_map
 from eqpart.partitions import (
     QuotientMatrix,
@@ -469,6 +463,15 @@ def test_switching_recognizer_matches_orbit_closure():
             assert search._match_switching(flipped) is None, (n, q, cell)
 
 
+def _cycle_pairs_h42():
+    """The 2-partitions of H(4, 2) whose cells are both induced 8-cycles,
+    in lexicographic order of their ascending vertex tuples.  Both cells
+    are 2-regular iff the quotient is [[2, 2], [2, 2]]."""
+    found = backtracking_enumerate(H42, EnumConstraints(quotient=QuotientMatrix(((2, 2),) * 2)))
+    cycles = [p for p in found if is_induced_cycle(H42, p.vertices()) == 8]
+    return sorted((p for p in cycles if p.complement() in cycles), key=TwoPartition.vertices)
+
+
 @lru_cache(maxsize=2)
 def _lift_orbit(q):
     """The cells of the orbit of lifted_cycle_pair(q, range(q // 2))."""
@@ -476,19 +479,19 @@ def _lift_orbit(q):
 
 
 def test_cycle_pair_recognizer_matches_lift_orbit():
-    """_match_cycle_pair_lifting gives the first split and pair on every
-    cell of the orbit of a lift, and _match_switching none.  On H(4, 2)
-    the orbit's 24 cells are the reduced lambda_2 cells; on H(4, 4) its
-    1,944 cells are 24 * (C(4, 2) / 2)^4, the number of distinct lifts.  A
-    one-bit flip of each orbit cell is refused by both recognizers."""
-    pairs = search._cycle_pairs_h42()
+    """_match_cycle_pair_lifting gives the first split and the constant
+    pair on every cell of the orbit of a lift, and _match_switching none.
+    On H(4, 2) the orbit's 24 cells are the reduced lambda_2 cells; on
+    H(4, 4) its 1,944 cells are 24 * (C(4, 2) / 2)^4, the number of
+    distinct lifts.  A one-bit flip of each orbit cell is refused by both
+    recognizers."""
     reduced = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2, reduced_only=True))
     assert _lift_orbit(2) == {p.cell for p in reduced}
     assert len(_lift_orbit(4)) == 24 * (comb(4, 2) // 2) ** 4 == 1944
     rng = random.Random(12)
     for q in (2, 4):
         params = GraphParams(4, q)
-        tag = CyclePairLifting(split=frozenset(range(q // 2)), cycle_pair=pairs[0])
+        tag = CyclePairLifting(split=frozenset(range(q // 2)), cycle_pair=search._TAG_CYCLE_PAIR)
         for cell in sorted(_lift_orbit(q)):
             p = TwoPartition(params, cell)
             assert search._match_cycle_pair_lifting(p) == tag, (q, cell)
@@ -496,8 +499,6 @@ def test_cycle_pair_recognizer_matches_lift_orbit():
             flipped = TwoPartition(params, cell ^ 1 << rng.randrange(params.vertex_count))
             assert search._match_cycle_pair_lifting(flipped) is None, (q, cell)
             assert search._match_switching(flipped) is None, (q, cell)
-    # the search for the tag's pair ran once in this process, not once per cell
-    assert search._cycle_pairs_h42.cache_info().misses == 1
 
 
 def test_ternary_census_counts():
@@ -516,8 +517,12 @@ def test_ternary_census_counts():
 
 
 def test_ternary_census_guard():
-    with pytest.raises(ValueError, match="guarded"):
-        enumerate_ternary_census(GraphParams(2, 4))
+    """q^n <= 18 bounds the join and 2^16 members the classify calls:
+    H(1, 11) has 3^11 = 177,147 members, and H(3, 3) 27 vertices."""
+    with pytest.raises(ValueError, match="guarded to 65536 members, got 177147"):
+        enumerate_ternary_census(GraphParams(1, 11))
+    with pytest.raises(ValueError, match="guarded to q.n <= 18, got 27"):
+        enumerate_ternary_census(GraphParams(3, 3))
 
 
 def test_ternary_members_match_operator_sweep():
@@ -544,18 +549,14 @@ def test_ternary_census_refuses_a_joined_non_member(monkeypatch):
         enumerate_ternary_census(H22)
 
 
-def test_ternary_members_beyond_the_guard():
-    """On H(2, 4) and H(4, 2), past the census guard, every joined member
-    classifies without error, into the closed-form counts: 355 and 51
-    members."""
+def test_ternary_census_on_h24_and_h42():
+    """The census of H(2, 4) and H(4, 2), 16 vertices each and within the
+    guard, gives the closed-form counts: 355 and 51 members."""
     for (n, q), counts in {(2, 4): (3, 156, 196), (4, 2): (3, 24, 24)}.items():
         assert counts == (3, n * (3 ** q - 3), comb(n, 2) * (2 ** q - 2) ** 2)
-        params = GraphParams(n, q)
-        forms = Counter(
-            type(classify_top_two(VertexFunction(params, values)))
-            for values in search._ternary_members(params)
-        )
-        assert forms == dict(zip((Constant, QuasiString, QuasiCross), counts)), (n, q)
+        assert enumerate_ternary_census(GraphParams(n, q)) == TernaryCensus(
+            *counts, 3 ** 16 - sum(counts)
+        ), (n, q)
 
 
 def test_classify_preconditions():
@@ -571,13 +572,13 @@ def test_classify_preconditions():
 
 
 def test_classify_small_base():
+    """n <= 3 is a base case, which also says whether a switching matches:
+    the H(2, 2) cell is its own base, the antipodal pair of H(3, 2) is no
+    switching output."""
     p = TwoPartition.from_vertices(H22, [1, 2])
-    assert classify_reduced_lambda2(p) == SmallBase()
-    assert classify_reduced_lambda2(p, check_secondary=True) == SmallBase(
-        secondary_switching=True
-    )
+    assert classify_reduced_lambda2(p) == SmallBase(secondary_switching=True)
     pair = TwoPartition.from_vertices(H32, [0, 7])
-    assert classify_reduced_lambda2(pair) == SmallBase()
+    assert classify_reduced_lambda2(pair) == SmallBase(secondary_switching=False)
 
 
 def test_classify_cycle_pair_lifting():
@@ -663,7 +664,7 @@ def test_cycle_pair_lifts_form_one_class():
     that takes the first pair to a pair lifts to H(4, q): at coordinate k,
     beta_k maps the first split onto the split and its complement onto the
     complement, after exchanging the two if a_k flips."""
-    pairs = search._cycle_pairs_h42()
+    pairs = _cycle_pairs_h42()
     first = pairs[0]
     moves = [
         next(
@@ -695,8 +696,9 @@ def test_cycle_pair_lifts_form_one_class():
 def test_cycle_pairs_h42_order():
     """The 24 induced-8-cycle pairs come in lexicographic order of their
     vertex tuples, which is not cell bitset order; classify-t5 prints the
-    first pair, so this order reaches stdout."""
-    pairs = search._cycle_pairs_h42()
+    first pair, the constant _TAG_CYCLE_PAIR."""
+    pairs = _cycle_pairs_h42()
+    assert pairs[0] == search._TAG_CYCLE_PAIR
     assert len(pairs) == 24
     words = [tuple(p.vertices()) for p in pairs]
     assert words == sorted(words)
