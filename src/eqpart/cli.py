@@ -4,7 +4,9 @@ Results go to stdout as JSON (one object, or for enumerate one object per
 line followed by a summary).  Exit codes: 0 for success, 1 for a verified
 negative result (a partition that is not equitable, a construction whose
 input fails its balance gate, an unclassified partition), 2 for usage or
-document format errors and for inputs beyond a guard.
+document format errors and for inputs beyond a guard.  A reader that
+closes stdout early (eqpart ... | head) ends the run with exit 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -371,7 +374,15 @@ def run_command(argv: list[str], stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (eqpart ... | head): point stdout at devnull,
+        # so that the flush at exit raises nothing either, and stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

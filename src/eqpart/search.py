@@ -3,23 +3,28 @@
 Two independent enumeration routes are kept deliberately separate so they
 can certify each other: a plain sweep over all cell bitsets (desk scale
 only) and a backtracking search driven by candidate quotient matrices.
-The backtracking search branches only on the free vertices of an
-echelon form of (A - lam I) x = s21 * 1, which every cell with second
-quotient eigenvalue lam satisfies, and takes every other vertex from its
-row.  It is sharded at the states it reaches at a fixed vertex; shards
-can run in worker processes, and their merged, sorted union is identical
-for any thread count.  A cell with quotient [[a, b], [c, d]] has a
+The backtracking search (module backtrack) branches only on the free
+vertices of an echelon form of (A - lam I) x = s21 * 1, which every cell
+with second quotient eigenvalue lam satisfies, and takes every other
+vertex from its row.  A cell with quotient [[a, b], [c, d]] has a
 complement with quotient [[d, c], [b, a]], so each candidate and this
 partner are searched only over the cells that hold vertex 0, and every
-other cell is the complement of one found.
+other cell is the complement of one found.  Root conditions break the
+symmetry of the stabilizer of vertex 0 (lex-leader predicates, Crawford,
+Ginsberg, Luks and Roy 1996), and the cells found are closed under its
+generators afterwards (as in canonical augmentation, McKay 1998).  The
+search is sharded at the states it reaches at a fixed vertex; shards can
+run in forked worker processes, and the output is identical for any
+thread count.
 
 The up-to-iso filter keeps the least cell of each orbit of the group of
 coordinate and symbol permutations: the enumerated set is closed under
-that group, so a union-find over the images of its cells under the
-group's generators finds the orbits.  Complement swaps are not
-quotiented out: (C, complement) and (complement, C) are distinct.  The
-classification walks no group: it reads a construction's parameters off
-the slices of a partition and rebuilds the partition from them.
+that group, so the closure of each cell under the group's generators,
+the same closure that completes the search, is its orbit.  Complement
+swaps are not quotiented out: (C, complement) and (complement, C) are
+distinct.  The classification walks no group: it reads a construction's
+parameters off the slices of a partition and rebuilds the partition
+from them.
 
 The ternary census classifies only the functions in the span of the top
 two eigenspaces, which a meet-in-the-middle join over the linear
@@ -28,12 +33,10 @@ residual of the lambda_1 eigen-equation finds, and counts the rest.
 
 from __future__ import annotations
 
-import os
 import warnings
-from functools import lru_cache
-from math import comb, gcd
+from math import comb
 from operator import itemgetter
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .constructions import (
     AlphabetBlocks,
@@ -72,14 +75,13 @@ from .partitions import (
 BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
 # Vertex-count bound for the backtracking search.  Its stack is a list, so
 # the bound is not a frame limit; it stays well beyond the graphs the search
-# finishes in minutes (H(3, 4), 64 vertices, takes about 2 s at index 2,
-# and H(3, 5), 125 vertices, about 2.5 min).
+# finishes in minutes (H(3, 4), 64 vertices, takes about 0.3 s at index 2,
+# and H(3, 5), 125 vertices, about 26 s).
 BACKTRACK_LIMIT = 512
 # Census bounds: q^n <= 18 keeps each half of the join at most 3^9 keys, and
 # the closed-form member count bounds the classify calls, one per member.
 TERNARY_VERTEX_LIMIT = 18
 TERNARY_MEMBER_LIMIT = 1 << 16
-_SHARD_DEPTH = 10               # shards are the live states at this vertex
 _Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
 
 
@@ -175,8 +177,8 @@ def brute_force_enumerate(
         raise ValueError(
             f"brute force sweep guarded to q^n <= {BRUTE_FORCE_LIMIT}, got {n_vertices}"
         )
-    # built here from neighbor_table, not from _pruning_table, so that this
-    # route shares nothing with the backtracking route it certifies
+    # built here from neighbor_table, not from backtrack._pruning_table, so
+    # that this route shares nothing with the backtracking route it certifies
     masks = [sum(1 << w for w in ws) for ws in neighbor_table(params)]
     out = []
     for cell in range(1, (1 << n_vertices) - 1):
@@ -195,167 +197,10 @@ def brute_force_enumerate(
 # --- backtracking route -----------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _pruning_table(params: GraphParams) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """For each vertex v, the vertices whose count is checked once v is set:
-    v and each neighbor w < v, as (bit of w, neighbor bitset of w, number
-    of neighbors of w still unassigned once vertices 0..v are set)."""
-    nbrs = neighbor_table(params)
-    masks = [sum(1 << w for w in ws) for ws in nbrs]
-    return tuple(
-        tuple(
-            (1 << w, masks[w], sum(1 for x in nbrs[w] if x > v))
-            for w in (v, *(w for w in nbrs[v] if w < v))
-        )
-        for v in range(params.vertex_count)
-    )
-
-
-@lru_cache(maxsize=4)
-def _forced_table(
-    params: GraphParams, lam: int
-) -> tuple[Optional[tuple[int, int, tuple[tuple[int, int], ...]]], ...]:
-    """For each vertex p, None if p is free, else the row of an echelon
-    form of (A - lam I) x = s21 * 1 whose latest vertex is p.
-
-    A cell with quotient [[s11, s12], [s21, s22]] and lam = s11 - s21 has
-    s21 + lam * x_v members among the neighbors of v, so its indicator x
-    solves that system.  Rows are reduced in exact integers, each divided
-    by its gcd.  The row of p is (d, beta, ((g, mask), ...)) with d > 0:
-    d * x_p = s21 * beta - sum of g * |cell & mask|, the masks bucketing
-    the vertices below p by their coefficient g.  Rows that reduce to zero
-    are dropped: for lam != degree the constant vector s21 / (degree - lam)
-    solves the system, and lam = degree forces s21 = s11 - degree = 0.
-    """
-    rows: dict[int, tuple[dict[int, int], int]] = {}
-    for v, ws in enumerate(neighbor_table(params)):
-        row = dict.fromkeys(ws, 1)
-        if lam:
-            row[v] = -lam
-        beta = 1
-        while row:
-            p = max(row)
-            g = gcd(beta, *row.values())
-            if row[p] < 0:
-                g = -g
-            if g != 1:
-                row = {w: c // g for w, c in row.items()}
-                beta //= g
-            if p not in rows:
-                rows[p] = (row, beta)
-                break
-            prow, pbeta = rows[p]
-            g = gcd(prow[p], row[p])
-            a, b = prow[p] // g, row[p] // g
-            if a != 1:
-                row = {w: a * c for w, c in row.items()}
-            for w, c in prow.items():
-                x = row.get(w, 0) - b * c
-                if x:
-                    row[w] = x
-                else:
-                    del row[w]
-            beta = a * beta - b * pbeta
-    table = []
-    for p in range(params.vertex_count):
-        if p not in rows:
-            table.append(None)
-            continue
-        row, beta = rows[p]
-        buckets: dict[int, int] = {}
-        for w, g in row.items():
-            if w != p:
-                buckets[g] = buckets.get(g, 0) | 1 << w
-        table.append((row[p], beta, tuple(buckets.items())))
-    return tuple(table)
-
-
-def _walk(
-    params: GraphParams, s11: int, s21: int, size_c: int,
-    state: tuple[int, int, int], stop: int,
-) -> list[tuple[int, int, int]]:
-    """The states (next vertex, cell bitset, cell size) that the search
-    reaches at vertex stop from state.
-
-    Vertices are assigned in index order on an explicit stack.  A vertex
-    with a row in _forced_table takes the one value that row gives, since
-    every vertex below it is assigned; the state dies unless that value is
-    0 or 1.  A free vertex branches 0/1.  Feasibility pruning: a vertex w
-    with cnt assigned neighbors in C, pending unassigned neighbors and
-    target count req must satisfy cnt <= req <= cnt + pending.
-    """
-    table = _pruning_table(params)
-    forced = _forced_table(params, s11 - s21)
-    n_vertices = len(table)
-    found = []
-    stack = [state]
-    while stack:
-        v, cell, size = stack.pop()
-        if v == stop:
-            found.append((v, cell, size))
-            continue
-        row = forced[v]
-        if row is None:
-            choices: tuple[int, ...] = (0, 1)
-        else:
-            d, beta, terms = row
-            val = s21 * beta
-            for g, mask in terms:
-                val -= g * (cell & mask).bit_count()
-            if val == 0:
-                choices = (0,)
-            elif val == d:
-                choices = (1,)
-            else:
-                continue
-        rest = n_vertices - v - 1
-        for c in choices:
-            new_size = size + c
-            if new_size > size_c or size_c - new_size > rest:
-                continue
-            new_cell = cell | (c << v)
-            for bit, mask, pending in table[v]:
-                cnt = (new_cell & mask).bit_count()
-                req = s11 if new_cell & bit else s21
-                if not cnt <= req <= cnt + pending:
-                    break
-            else:
-                stack.append((v + 1, new_cell, new_size))
-    return found
-
-
-def _search_shard(shard: tuple[GraphParams, _Rows, int, tuple[int, int, int]]) -> list[int]:
-    """All cells the search completes from one live state, as ints.
-
-    shard is (params, quotient rows, size_c, state), state one of those
-    that _walk reaches at the shard depth; see _live_shards.
-    """
-    params, ((s11, _), (s21, _)), size_c, state = shard
-    return [cell for _, cell, _ in _walk(params, s11, s21, size_c, state, params.vertex_count)]
-
-
 def _partner(rows: _Rows) -> _Rows:
     """The complement's quotient rows: [[a, b], [c, d]] -> [[d, c], [b, a]]."""
     (a, b), (c, d) = rows
     return (d, c), (b, a)
-
-
-def _live_shards(
-    params: GraphParams, searched: tuple[_Rows, ...]
-) -> list[tuple[GraphParams, _Rows, int, tuple[int, int, int]]]:
-    """The shards of the searched quotient rows: for each, in order, the
-    states with vertex 0 in C that the search reaches at vertex
-    min(q^n, _SHARD_DEPTH), sorted, so the list is the same for every
-    thread count."""
-    depth = min(params.vertex_count, _SHARD_DEPTH)
-    shards = []
-    for rows in searched:
-        (s11, _), (s21, _) = rows
-        size = int(predicted_cell_size(QuotientMatrix(rows), params))
-        # vertex 0 is free, and its count check passes since s11 <= degree
-        states = sorted(_walk(params, s11, s21, size, (1, 1, 1), depth))
-        shards.extend((params, rows, size, x) for x in states)
-    return shards
 
 
 def backtracking_enumerate(
@@ -375,33 +220,45 @@ def backtracking_enumerate(
     in W is found: it holds vertex 0, or its complement holds it and has
     the partner rows.
 
-    The search is split at the live states of a fixed depth into shards
-    whose results are merged and sorted, so the output is identical for
-    every thread count.  Output is sorted by cell bitset and agrees with
-    brute_force_enumerate wherever both are allowed to run.  All shards
-    share one pool of min(threads, os.cpu_count(), shard count) worker
-    processes; with one worker they run in this process.  Guarded to
+    Root conditions: the search keeps only the cells in which, along each
+    coordinate k, the members of C among the neighbors of vertex 0 are
+    the least symbols 1..c_k, and c_1 <= ... <= c_n (backtrack._root_needs).  The
+    cells with vertex 0 in C and given quotient rows form a set that the
+    stabilizer of vertex 0, Stab(0) = S_n x| S_{q-1}^n, maps into itself,
+    since an automorphism keeps the quotient.  Every orbit of that set
+    meets the root conditions: symbol maps fixing 0 move each coordinate's
+    members onto the least symbols, and then a coordinate permutation
+    sorts the counts c_k.  So the closure of the cells found under the
+    generators of Stab(0), the adjacent coordinate transpositions and on
+    coordinate 1 the symbol maps (1 2) and (1 2 ... q-1), is every such
+    cell.  The closure runs in this process, before the sorted union.
+
+    The search (module backtrack, imported here so that commands that
+    never search do not compile it) is split at the live states of a
+    fixed depth into shards.  All shards are searched by min(threads,
+    os.cpu_count(), shard count) forked worker processes, or in this
+    process when that is one or os.fork is missing.  Output is sorted by
+    cell bitset, is identical for every thread count and agrees with
+    brute_force_enumerate wherever both are allowed to run.  Guarded to
     q^n <= 512 by candidate_quotient_matrices.
     """
-    kept = [s.rows for s in candidate_quotient_matrices(params, constraints)]
-    shards = _live_shards(params, tuple(dict.fromkeys(kept + [_partner(r) for r in kept])))
-    workers = min(threads, os.cpu_count() or 1, len(shards))
-    if workers <= 1:
-        results = map(_search_shard, shards)
-    else:
-        # imported here so that no other command pays for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    from . import backtrack
 
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            chunksize = max(1, len(shards) // (8 * workers))
-            results = list(ex.map(_search_shard, shards, chunksize=chunksize))
+    kept = [s.rows for s in candidate_quotient_matrices(params, constraints)]
+    searched = tuple(dict.fromkeys(kept + [_partner(r) for r in kept]))
+    shards = backtrack.live_shards(params, searched)
+    found: dict[_Rows, list[int]] = {rows: [] for rows in searched}
+    for (_, rows, _, _), cells_found in zip(shards, backtrack.run_shards(shards, threads)):
+        found[rows] += cells_found
+    close = _orbit_closure(params, 1)
     full = (1 << params.vertex_count) - 1
     cells: set[int] = set()
-    for (_, rows, _, _), found in zip(shards, results):
+    for rows, seeds in found.items():
+        closed = close(seeds)
         if rows in kept:
-            cells.update(found)
+            cells |= closed
         if _partner(rows) in kept:
-            cells.update(full ^ cell for cell in found)
+            cells.update(full ^ cell for cell in closed)
     out = [TwoPartition(params, c) for c in sorted(cells)]
     if constraints.reduced_only:
         out = [p for p in out if len(essential_coordinates(p)) == params.n]
@@ -410,57 +267,67 @@ def backtracking_enumerate(
     return out
 
 
-# --- isomorphism: orbit minima ----------------------------------------------
+# --- orbits: closure and minima ---------------------------------------------
+
+
+def _orbit_closure(params: GraphParams, lo: int) -> Callable[[list[int]], set[int]]:
+    """The map from a list of cells to the cells reached from them by the
+    adjacent coordinate transpositions and, on coordinate 1, the
+    transposition and the cycle of the symbols lo..q-1: their orbits under
+    the whole group for lo = 0, and under the stabilizer of vertex 0 for
+    lo = 1.
+
+    The image of a cell is its pull along the generator's vertex_map, that
+    is its image under the inverse, which generates the same group.  Each
+    generator's getter is built once and each cell's binary digits are
+    formatted once: digit j stands for vertex q^n - 1 - j, so the pull
+    along vmap takes digit j of the image from digit q^n - 1 - vmap[q^n -
+    1 - j] of the cell.
+    """
+    n, top = params.n, params.vertex_count - 1
+    coords, ident = tuple(range(1, n + 1)), tuple(range(params.q))
+    fixed, moved = ident[:lo], ident[lo:]
+    swap, cycle = fixed + moved[1:2] + moved[:1] + moved[2:], fixed + moved[1:] + moved[:1]
+    gens = [Automorphism(coords[:k] + (k + 2, k + 1) + coords[k + 2:], (ident,) * n)
+            for k in range(n - 1)]
+    gens += [Automorphism(coords, (alpha, *(ident,) * (n - 1)))
+             for alpha in dict.fromkeys((swap, cycle)) if alpha != ident]
+    getters = [itemgetter(*[top - w for w in reversed(vertex_map(params, g))]) for g in gens]
+    width = f"0{top + 1}b"
+
+    def close(seeds: list[int]) -> set[int]:
+        closed, todo = set(seeds), list(seeds)
+        for cell in todo:       # todo grows while it is read
+            digits = format(cell, width)
+            for getter in getters:
+                image = int("".join(getter(digits)), 2)
+                if image not in closed:
+                    closed.add(image)
+                    todo.append(image)
+        return closed
+
+    return close
 
 
 def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
     """The partitions of found whose cell is the least of its orbit under
     the graph automorphisms, in the order of found.
 
-    found is a set the group maps into itself: union-find joins each cell
-    with its image under each generator, keeping the smaller root, so each
-    class is an orbit and its root the orbit's least cell.  The image is
-    the pull along the generator's vertex_map, that is the image under its
-    inverse: g and g^-1 give the same orbits, and a finite set is closed
-    under g iff it is closed under g^-1.  An image that is not in found
-    raises AssertionError: the search lost part of an orbit.
+    found is a set the group maps into itself, so the _orbit_closure of
+    each cell is its orbit.  An orbit that leaves found raises
+    AssertionError: the search lost part of it.
     """
     if not found:
         return found
-    params = found[0].params
-    n, q = params.n, params.q
-    coords, ident = tuple(range(1, n + 1)), tuple(range(q))
-    # the adjacent coordinate transpositions, and on coordinate 1 the symbol
-    # transposition (0 1) and the q-cycle s -> s + 1 (one map when q = 2)
-    generators = [
-        Automorphism(coords[:k] + (k + 2, k + 1) + coords[k + 2:], (ident,) * n)
-        for k in range(n - 1)
-    ] + [
-        Automorphism(coords, (alpha, *(ident,) * (n - 1)))
-        for alpha in dict.fromkeys(((1, 0, *ident[2:]), (*ident[1:], 0)))
-    ]
-    parent = {p.cell: p.cell for p in found}
-
-    def root(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    # each generator's getter once, each cell's binary digits once: digit j
-    # stands for vertex q^n - 1 - j, so the pull along vmap takes digit j of
-    # the image from digit q^n - 1 - vmap[q^n - 1 - j] of the cell
-    top = params.vertex_count - 1
-    getters = [itemgetter(*[top - w for w in reversed(vertex_map(params, g))]) for g in generators]
+    close = _orbit_closure(found[0].params, 0)
+    cells, least = {p.cell for p in found}, {}
     for p in found:
-        digits = format(p.cell, f"0{top + 1}b")
-        for getter in getters:
-            image = int("".join(getter(digits)), 2)
-            if image not in parent:
-                raise AssertionError(f"image {image:#x} of cell {p.cell:#x} is missing")
-            a, b = root(p.cell), root(image)
-            parent[max(a, b)] = min(a, b)
-    return [p for p in found if root(p.cell) == p.cell]
+        if p.cell not in least:
+            orbit = close([p.cell])
+            if not orbit <= cells:
+                raise AssertionError(f"the orbit of cell {p.cell:#x} is missing cells")
+            least.update(dict.fromkeys(orbit, min(orbit)))
+    return [p for p in found if least[p.cell] == p.cell]
 
 
 # --- ternary function census -------------------------------------------------

@@ -517,6 +517,24 @@ def test_module_entry_point_runs_the_cli():
         assert (child.returncode, child.stdout, child.stderr) == (code, out, err), module
 
 
+def test_closed_pipe_ends_without_traceback():
+    """A reader that closes stdout after one line, as `| head -1` does,
+    ends the run with exit 1 and nothing on stderr: H(2, 5) index 2 prints
+    4,320 lines, far more than a pipe holds."""
+    src = str(Path(eqpart.cli.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = ["enumerate", "--n", "2", "--q", "5", "--eig-index", "2"]
+    with subprocess.Popen([sys.executable, "-m", "eqpart", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert json.loads(first)["n"] == 2
+    assert (code, err) == (1, b"")
+
+
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 

@@ -16,7 +16,7 @@ import pytest
 import eqpart
 
 MODULES = ("hamming", "partitions", "eigenfunctions", "constructions", "search",
-           "documents", "cli")
+           "backtrack", "documents", "cli")
 SRC = str(Path(eqpart.__file__).resolve().parent.parent)
 
 
@@ -38,9 +38,11 @@ def test_module_imports_alone(module):
 
 
 def test_cli_import_leaves_out_the_process_pool():
-    """Only enumerate --threads > 1 uses a process pool; every other command
-    starts without importing its machinery."""
-    assert not {"concurrent.futures.process", "multiprocessing"} & _loaded_by("cli")
+    """enumerate --threads > 1 forks its workers, so no command imports a
+    process pool's machinery, and only a search compiles the backtracking
+    route."""
+    assert not {"concurrent.futures.process", "multiprocessing",
+                "eqpart.backtrack"} & _loaded_by("cli")
 
 
 @pytest.mark.parametrize("module", MODULES)

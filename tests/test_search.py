@@ -1,9 +1,10 @@
 """Enumeration routes, isomorphism filters, censuses, and classification."""
 
-import concurrent.futures
+import hashlib
 import io
 import itertools
 import json
+import os
 import random
 import sys
 import warnings
@@ -13,7 +14,7 @@ from math import comb
 
 import pytest
 
-from eqpart import search
+from eqpart import backtrack, search
 from eqpart.cli import run_command
 from eqpart.constructions import (
     AlphabetBlocks,
@@ -24,7 +25,7 @@ from eqpart.constructions import (
 )
 from eqpart.documents import cell_to_hex, hex_to_cell
 from eqpart.eigenfunctions import VertexFunction, in_top_two_eigenspaces
-from eqpart.hamming import Automorphism, GraphParams, vertex_map
+from eqpart.hamming import Automorphism, GraphParams, encode_vertex, vertex_map
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
@@ -139,9 +140,9 @@ def test_backtracking_threads_do_not_change_output():
     single = [p.cell for p in backtracking_enumerate(H32, c, threads=1)]
     double = [p.cell for p in backtracking_enumerate(H32, c, threads=2)]
     assert single == double
-    # H(3, 3) has more live shards than workers, so these run a real pool
+    # H(3, 3) has more live shards than workers, so these fork real workers
     params = GraphParams(3, 3)
-    assert len(search._live_shards(params, searched_rows(params, c))) > 8
+    assert len(backtrack.live_shards(params, searched_rows(params, c))) > 8
     runs = [[p.cell for p in backtracking_enumerate(params, c, threads=t)] for t in (1, 2, 8)]
     assert len(runs[0]) == 180
     assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -150,66 +151,188 @@ def test_backtracking_threads_do_not_change_output():
 def test_live_shards_hold_vertex_0():
     """Every live shard has vertex 0 in C, for an index and for an explicit
     quotient whose partner is not a candidate, and searching each pair's
-    two sides so costs the shards of searching one side in full."""
+    two sides so costs the shards of searching one side in full.  The
+    root conditions cut the counts 257, 120 and 1,220 to these."""
     c = EnumConstraints(eigenvalue_index=2)
-    for params, count in ((GraphParams(4, 3), 257), (GraphParams(2, 5), 120),
-                          (GraphParams(3, 4), 1220)):
-        shards = search._live_shards(params, searched_rows(params, c))
+    for params, count in ((GraphParams(4, 3), 79), (GraphParams(2, 5), 28),
+                          (GraphParams(3, 4), 365)):
+        shards = backtrack.live_shards(params, searched_rows(params, c))
         assert len(shards) == count, params
         assert all(cell & 1 for *_, (_, cell, _) in shards), params
     explicit = EnumConstraints(quotient=QuotientMatrix(((0, 3), (1, 2))))
     rows = searched_rows(H32, explicit)
     assert rows == (((0, 3), (1, 2)), ((2, 1), (3, 0)))
-    shards = search._live_shards(H32, rows)
+    shards = backtrack.live_shards(H32, rows)
     assert shards and all(cell & 1 for *_, (_, cell, _) in shards)
 
 
 def test_worker_processes_are_capped(monkeypatch):
-    """One pool per call, with min(threads, CPU count, shard count) workers;
-    the recording fake pool runs the shards in this process."""
-    pools = []
+    """One fork per call, with min(threads, CPU count, shard count) workers,
+    and none where os.fork is missing; the recording fake runs the shards
+    in this process."""
+    forks = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def fake_fork_map(fn, shards, n_workers):
+        forks.append(n_workers)
+        return [fn(x) for x in shards]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    # the pool branch imports the executor when it runs, so patch its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(backtrack, "_fork_map", fake_fork_map)
     c = EnumConstraints(eigenvalue_index=2)
 
     def shard_count(params):
-        return len(search._live_shards(params, searched_rows(params, c)))
+        return len(backtrack.live_shards(params, searched_rows(params, c)))
 
     expected = [p.cell for p in backtracking_enumerate(H42, c)]
-    assert pools == []
+    assert forks == []
     shards = shard_count(H42)
     assert 5 < shards < 1000
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
-    # three candidate quotient matrices share one pool, capped by the CPUs
+    monkeypatch.setattr(backtrack.os, "cpu_count", lambda: 3)
+    # three candidate quotient matrices share one fork, capped by the CPUs
     assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
-    assert pools == [3]
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 1000)
+    assert forks == [3]
+    monkeypatch.setattr(backtrack.os, "cpu_count", lambda: 1000)
     # capped by the threads, then by the shards
     assert [p.cell for p in backtracking_enumerate(H42, c, threads=5)] == expected
     assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
-    assert pools == [3, 5, shards]
+    assert forks == [3, 5, shards]
     # H(2, 2) has one candidate matrix, [[0, 2], [2, 0]]; it is self-paired,
     # so only the cells with vertex 0 in C are searched: one live shard and
-    # no pool
+    # no fork
     assert shard_count(H22) == 1
     assert [p.cell for p in backtracking_enumerate(H22, c, threads=100000)] == [6, 9]
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(backtrack.os, "cpu_count", lambda: None)
     backtracking_enumerate(H42, c, threads=100000)
-    assert pools == [3, 5, shards]
+    assert forks == [3, 5, shards]
+    monkeypatch.setattr(backtrack.os, "cpu_count", lambda: 1000)
+    monkeypatch.delattr(backtrack.os, "fork")
+    assert [p.cell for p in backtracking_enumerate(H42, c, threads=5)] == expected
+    assert forks == [3, 5, shards]
+
+
+def test_failing_worker_raises_and_leaves_no_child(monkeypatch):
+    """A shard that raises in a forked worker, or a worker that exits
+    without sending its results, makes the call raise; every child is
+    reaped, so this process has none left."""
+    c = EnumConstraints(eigenvalue_index=2)
+    monkeypatch.setattr(backtrack.os, "cpu_count", lambda: 4)
+    search_shard = backtrack._search_shard
+    shards = backtrack.live_shards(H42, searched_rows(H42, c))
+    assert len(shards) > 4
+
+    def failing(shard):
+        if shard == shards[-1]:     # one shard, in one worker
+            raise ValueError("shard failed on purpose")
+        return search_shard(shard)
+
+    def exiting(shard):
+        os._exit(3)
+
+    for fake, message in ((failing, "ValueError: shard failed on purpose"),
+                          (exiting, "sent nothing")):
+        monkeypatch.setattr(backtrack, "_search_shard", fake)
+        with pytest.raises(RuntimeError, match=message):
+            backtracking_enumerate(H42, c, threads=4)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# SHA-256 of the sorted cells as comma-separated lowercase hex, recorded
+# from the search before the root conditions: (n, q, index, count, digest)
+OUTPUT_PINS = (
+    (4, 3, 2, 648, "58fa00411e841171db906eb50a0053991339850cf79ff25e572946c12d2962e3"),
+    (6, 2, 3, 19600, "700aad3fa027e7c7dcd143af4dd760c7e3fd5a21adfc6c9327c80f3da589da44"),
+    (3, 4, 2, 26766, "77acb5a39e72b2372f5ee3fdd9db2694da35fb5b35a7b1ae8bc4e2eaec96adbf"),
+)
+
+
+def test_sorted_output_is_pinned():
+    """The sorted cells keep their count and SHA-256; H(3, 4) also with
+    2 and 8 worker processes."""
+    for n, q, index, count, digest in OUTPUT_PINS:
+        for threads in (1, 2, 8) if (n, q) == (3, 4) else (1,):
+            found = backtracking_enumerate(
+                GraphParams(n, q), EnumConstraints(eigenvalue_index=index), threads=threads
+            )
+            text = ",".join(format(p.cell, "x") for p in found)
+            assert (len(found), hashlib.sha256(text.encode()).hexdigest()) == (count, digest), (
+                n, q, index, threads)
+
+
+def _meets_root_conditions(params, cell):
+    """Along each coordinate the members of C among the neighbors of
+    vertex 0 are the least symbols 1..c_k, and c_1 <= ... <= c_n."""
+    n, q = params.n, params.q
+    counts = []
+    for k in range(n):
+        members = [a for a in range(1, q)
+                   if cell >> encode_vertex(params, [a if j == k else 0 for j in range(n)]) & 1]
+        if members != list(range(1, len(members) + 1)):
+            return False
+        counts.append(len(members))
+    return counts == sorted(counts)
+
+
+def _stabilizer_closure(params, cells):
+    """The images of the cells under the automorphisms that fix vertex 0,
+    by a breadth-first search over the coordinate transpositions and every
+    symbol transposition (a b), 0 < a < b, on coordinate 1."""
+    n, q = params.n, params.q
+    coords, ident = tuple(range(1, n + 1)), tuple(range(q))
+    gens = [Automorphism(coords[:k] + (k + 2, k + 1) + coords[k + 2:], (ident,) * n)
+            for k in range(n - 1)]
+    for a, b in itertools.combinations(range(1, q), 2):
+        alpha = list(ident)
+        alpha[a], alpha[b] = b, a
+        gens.append(Automorphism(coords, (tuple(alpha),) + (ident,) * (n - 1)))
+    seen, frontier = set(cells), list(cells)
+    while frontier:
+        images = [transform(TwoPartition(params, c), g).cell for c in frontier for g in gens]
+        frontier = [c for c in dict.fromkeys(images) if c not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def test_root_closure_matches_brute_force():
+    """At every index of the route graphs and H(1, 5), and for every
+    searched row set, the search completes only cells that hold vertex 0
+    and meet the root conditions, and their closure under the stabilizer
+    of vertex 0 is exactly the set of brute-force cells with those rows
+    that hold vertex 0.  The search's own closure then gives the
+    brute-force output; on H(1, 5) its symbol maps alone must generate S_4
+    on the symbols 1..4."""
+    checked = 0
+    for params in (*ROUTE_GRAPHS, GraphParams(1, 5)):
+        for i in range(params.n + 1):
+            c = EnumConstraints(eigenvalue_index=i)
+            assert backtracking_enumerate(params, c) == brute_force_enumerate(params, c)
+            for rows in searched_rows(params, c):
+                shards = backtrack.live_shards(params, (rows,))
+                roots = [cell for x in shards for cell in backtrack._search_shard(x)]
+                assert all(cell & 1 and _meets_root_conditions(params, cell) for cell in roots)
+                exact = EnumConstraints(quotient=QuotientMatrix(rows))
+                expected = {p.cell for p in brute_force_enumerate(params, exact) if p.cell & 1}
+                assert _stabilizer_closure(params, roots) == expected, (params, i, rows)
+                checked += len(expected) > len(roots)
+    assert checked
+
+
+# graphs on which the index-1 closed form is pinned
+INDEX1_GRAPHS = tuple(
+    GraphParams(n, q) for q, top in ((2, 6), (3, 4), (4, 3), (5, 3)) for n in range(1, top + 1)
+)
+
+
+def test_index1_closed_form():
+    """T_1(n, q) = n (2^q - 2) cells at eigenvalue index 1, and every one
+    depends on a single coordinate: R_1(m, q) = 0 reduced cells for m >= 2
+    (R_1(1, q) = T_1(1, q))."""
+    for params in INDEX1_GRAPHS:
+        n, q = params.n, params.q
+        total = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=1))
+        reduced = backtracking_enumerate(
+            params, EnumConstraints(eigenvalue_index=1, reduced_only=True))
+        assert len(total) == n * (2 ** q - 2), params
+        assert len(reduced) == (len(total) if n == 1 else 0), params
 
 
 def test_forced_table_free_vertices():
@@ -219,7 +342,7 @@ def test_forced_table_free_vertices():
         n, q = params.n, params.q
         for i in range(n + 1):
             lam = params.degree - q * i     # lam_i = n (q - 1) - q i
-            table = search._forced_table(params, lam)
+            table = backtrack._forced_table(params, lam)
             assert len(table) == params.vertex_count
             assert table.count(None) == comb(n, i) * (q - 1) ** i, (params, i)
 
@@ -233,7 +356,7 @@ def test_forced_rows_hold_on_equitable_cells():
             c = EnumConstraints(eigenvalue_index=i)
             for p in brute_force_enumerate(params, c):
                 (s11, _), (s21, _) = equitable_check(p).rows
-                for v, row in enumerate(search._forced_table(params, s11 - s21)):
+                for v, row in enumerate(backtrack._forced_table(params, s11 - s21)):
                     if row is None:
                         continue
                     d, beta, terms = row
@@ -249,7 +372,7 @@ def test_non_eigenvalue_quotient_forces_every_vertex():
     params = GraphParams(2, 4)
     for rows in (((3, 3), (3, 3)), ((5, 1), (1, 5))):
         s = QuotientMatrix(rows)
-        assert None not in search._forced_table(params, rows[0][0] - rows[1][0])
+        assert None not in backtrack._forced_table(params, rows[0][0] - rows[1][0])
         c = EnumConstraints(quotient=s)
         assert candidate_quotient_matrices(params, c) == (s,)
         assert backtracking_enumerate(params, c) == brute_force_enumerate(params, c) == []
