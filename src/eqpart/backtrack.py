@@ -1,12 +1,13 @@
-"""The backtracking route of search.backtracking_enumerate.
+"""The backtracking route of search.backtracking_cells.
 
 Vertices are assigned in index order.  Each vertex that an echelon row of
 (A - lam I) x = s21 * 1 determines is forced, the others branch 0/1, and
 neighbor counts prune.  Root conditions keep only the cells that meet
-them, at least one in each orbit of the stabilizer of vertex 0 (see
-search.backtracking_enumerate).  The search is split into shards at the
-live states it reaches at a fixed vertex, and the shards run in forked
-worker processes or in this process.
+them, at least one in each orbit of the stabilizer of vertex 0, and
+search_cells closes the cells found under it (search._orbit_closure).
+The search is split into shards at the live states it reaches at a
+fixed vertex, and the shards run in forked worker processes or in this
+process.
 
 search imports this module only when it searches, so that no other
 command compiles it.
@@ -22,6 +23,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .hamming import GraphParams, neighbor_table
 from .partitions import QuotientMatrix, predicted_cell_size
+from .search import _orbit_closure
 
 _SHARD_DEPTH = 10               # shards are the live states at this vertex
 _Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
@@ -256,3 +258,54 @@ def run_shards(shards: list[_Shard], threads: int) -> list[list[int]]:
     if workers > 1 and hasattr(os, "fork"):
         return _fork_map(_search_shard, shards, workers)
     return [_search_shard(x) for x in shards]
+
+
+def _partner(rows: _Rows) -> _Rows:
+    """The complement's quotient rows: [[a, b], [c, d]] -> [[d, c], [b, a]]."""
+    (a, b), (c, d) = rows
+    return (d, c), (b, a)
+
+
+def search_cells(params: GraphParams, kept: list[_Rows], threads: int) -> list[int]:
+    """The sorted cells whose quotient rows are in kept, by backtracking
+    over vertex assignments, forcing every vertex that an echelon row of
+    (A - lam I) x = s21 * 1 determines.
+
+    The complement of a cell with quotient rows r = [[a, b], [c, d]] has
+    quotient rows partner(r) = [[d, c], [b, a]], with the same lam.  Every
+    row set in kept and their partners is searched only over the cells
+    with vertex 0 in C; a cell found is kept when its rows are in kept,
+    and its complement when their partner is.  So each cell with rows in
+    kept is found: it holds vertex 0, or its complement holds it and has
+    the partner rows.
+
+    Root conditions: the search keeps only the cells in which, along each
+    coordinate k, the members of C among the neighbors of vertex 0 are
+    the least symbols 1..c_k, and c_1 <= ... <= c_n (_root_needs).  The
+    cells with vertex 0 in C and given quotient rows form a set that the
+    stabilizer of vertex 0, Stab(0) = S_n x| S_{q-1}^n, maps into itself,
+    since an automorphism keeps the quotient.  Every orbit of that set
+    meets the root conditions: symbol maps fixing 0 move each coordinate's
+    members onto the least symbols, and then a coordinate permutation
+    sorts the counts c_k.  So the closure of the cells found under the
+    generators of Stab(0), the adjacent coordinate transpositions and on
+    coordinate 1 the symbol maps (1 2) and (1 2 ... q-1), is every such
+    cell.  The closure runs in this process, on the cells as ints
+    (search._orbit_closure), before the sorted union.  The shards run by
+    run_shards.
+    """
+    searched = tuple(dict.fromkeys(kept + [_partner(r) for r in kept]))
+    shards = live_shards(params, searched)
+    found: dict[_Rows, list[int]] = {rows: [] for rows in searched}
+    for (_, rows, _, _), cells_found in zip(shards, run_shards(shards, threads)):
+        found[rows] += cells_found
+    close = _orbit_closure(params, 1)
+    full = (1 << params.vertex_count) - 1
+    cells: set[int] = set()
+    for rows, seeds in found.items():
+        closed = close(seeds)
+        if rows in kept:
+            cells |= closed
+        if _partner(rows) in kept:
+            cells.update(full ^ cell for cell in closed)
+    return sorted(cells)

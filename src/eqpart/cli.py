@@ -20,6 +20,16 @@ from collections import Counter
 from pathlib import Path
 from typing import Any
 
+# search first: its compile, the largest, runs before the rest load (lower peak RSS)
+from .search import (
+    EnumConstraints,
+    Unclassified,
+    backtracking_cells,
+    brute_force_enumerate,
+    candidate_quotient_matrices,
+    classify_reduced_lambda2,
+    enumerate_ternary_census,
+)
 from .constructions import (
     AlphabetBlocks,
     LiftBlocks,
@@ -36,6 +46,7 @@ from .documents import (
     load_json,
     parse_blocks,
     partition_from_doc,
+    partition_lines,
     tagged,
     to_json,
 )
@@ -52,15 +63,6 @@ from .partitions import (
     quotient_eigenvalue_indices,
     reduce as reduce_partition,
     spectral_check,
-)
-from .search import (
-    EnumConstraints,
-    Unclassified,
-    backtracking_enumerate,
-    brute_force_enumerate,
-    candidate_quotient_matrices,
-    classify_reduced_lambda2,
-    enumerate_ternary_census,
 )
 
 
@@ -150,10 +152,9 @@ def _cmd_construct_a(args: argparse.Namespace) -> int:
 
 def _cmd_construct_b(args: argparse.Namespace) -> int:
     q = args.q
-    split_blocks = parse_blocks(args.split)
-    if len(split_blocks) != 1:
+    split, *others = parse_blocks(args.split)
+    if others:
         raise DocumentError("--split must be a single comma-separated symbol list")
-    split = split_blocks[0]
     if q < 2 or q % 2:
         raise DocumentError("--q must be even and >= 2")
     guarded_params(4, q)
@@ -201,12 +202,11 @@ def _cmd_classify_fn(args: argparse.Namespace) -> int:
     if not f.is_ternary():
         raise DocumentError("classification applies to ternary functions only")
     form = classify_top_two(f)
-    return_doc = {
+    _print_json({
         "member": not isinstance(form, NotMember),
         "top_two_form": tagged(form),
         "lambda1_form": tagged(classify_lambda1(f, form)),
-    }
-    _print_json(return_doc)
+    })
     return 0
 
 
@@ -253,21 +253,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
         if args.brute_force:
-            found = brute_force_enumerate(params, constraints)
+            cells = [p.cell for p in brute_force_enumerate(params, constraints)]
         else:
-            found = backtracking_enumerate(params, constraints, threads=args.threads)
+            cells = backtracking_cells(params, constraints, threads=args.threads)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
-    for p in found:
-        _print_json(to_json(p))
+    for i in range(0, len(cells), 256):     # few writes, few lines held at once
+        sys.stdout.write(partition_lines(params, cells[i:i + 256]))
     # Every proper equitable cell of a connected graph has S12, S21 >= 1, so
     # it has a candidate quotient, the one of its size: candidate sizes differ.
-    sizes = Counter(p.size for p in found)
+    sizes = Counter(map(int.bit_count, cells))
     counts = sorted((s.rows, sizes.pop(int(predicted_cell_size(s, params)), 0)) for s in candidates)
     if sizes:
         raise AssertionError(f"cells of sizes {sorted(sizes)} have no candidate quotient")
     _print_json({
-        "count": len(found),
+        "count": len(cells),
         "quotients": [{"matrix": to_json(rows), "count": cnt} for rows, cnt in counts if cnt],
     })
     return 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .constructions import AlphabetBlocks
 from .eigenfunctions import VertexFunction
@@ -97,13 +97,21 @@ def _params_of(doc: Mapping[str, Any]) -> GraphParams:
     return guarded_params(_require_int(doc, "n"), _require_int(doc, "q"))
 
 
+def _partition_doc(params: GraphParams, cell_hex: str) -> dict[str, Any]:
+    return {"format_version": FORMAT_VERSION, "n": params.n, "q": params.q, "cell": cell_hex}
+
+
 def partition_to_doc(p: TwoPartition) -> dict[str, Any]:
-    return {
-        "format_version": FORMAT_VERSION,
-        "n": p.params.n,
-        "q": p.params.q,
-        "cell": cell_to_hex(p.cell, p.params.vertex_count),
-    }
+    return _partition_doc(p.params, cell_to_hex(p.cell, p.params.vertex_count))
+
+
+def partition_lines(params: GraphParams, cells: Iterable[int]) -> str:
+    """json.dumps(partition_to_doc(p), sort_keys=True) and a newline for
+    the partition p of each cell of H(n, q), rendered from the ints into
+    one template: no partition, dict or encoder call per cell."""
+    line = json.dumps(_partition_doc(params, "%s"), sort_keys=True) + "\n"
+    digits = f"0{(params.vertex_count + 3) // 4}x"
+    return "".join([line % format(cell, digits)[::-1] for cell in cells])
 
 
 def partition_from_doc(doc: Mapping[str, Any]) -> TwoPartition:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 # Hard ceiling on q^n so vertex indices stay comfortably machine-sized.
 MAX_VERTICES = 1 << 32
@@ -228,6 +228,31 @@ def digit_table(
     return tuple(table)
 
 
+# Bound on the bytes of the degree masks of q^n lanes that residual_witness
+# keeps per graph and lane width (3 KiB of 8-bit lanes on H(4, 4), 48 KiB on
+# H(12, 2)): past it each call builds them anew, one at a time.
+LANE_MASK_CACHE_BYTES = 1 << 15
+
+
+def _lane_masks(n: int, q: int, width: int) -> Iterator[tuple[int, int, int]]:
+    """For k = 1..n and then t = 1..q-1, with s = q^(n-k): the bit shifts
+    of t*s and of (q-t)*s lanes of width bits, and the mask of the lanes
+    whose symbol x_k is below q - t, built from bytes patterns."""
+    n_vertices = q ** n
+    ones, zeros = b"\xff" * (width // 8), bytes(width // 8)
+    for k in range(1, n + 1):
+        s = q ** (n - k)
+        for t in range(1, q):
+            yield t * s * width, (q - t) * s * width, int.from_bytes(
+                (ones * ((q - t) * s) + zeros * (t * s)) * (n_vertices // (q * s)), "little"
+            )
+
+
+@lru_cache(maxsize=4)
+def _cached_lane_masks(n: int, q: int, width: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(_lane_masks(n, q, width))
+
+
 def residual_witness(
     params: GraphParams, values: Sequence[int], lam: int
 ) -> tuple[int, int | None]:
@@ -238,9 +263,10 @@ def residual_witness(
     the smallest of 8, 16, 32 or 64 bits that holds (degree + |lam|) *
     (max - min); a larger bound raises ValueError.  Each shift x_k ->
     x_k + t (mod q) adds two masked shifts of the packed integer.  The
-    masks are built here from bytes patterns, not taken from digit_masks,
-    so the partition checks that use digit_masks and this kernel certify
-    each other.
+    masks are built from bytes patterns (_lane_masks), not taken from
+    digit_masks, so the partition checks that use digit_masks and this
+    kernel certify each other; they are kept between calls while they
+    take at most LANE_MASK_CACHE_BYTES.
     """
     q, n_vertices, degree = params.q, params.vertex_count, params.degree
     low = min(values)
@@ -258,7 +284,6 @@ def residual_witness(
         packed = int.from_bytes(bytes(values), "little")
     else:
         packed = int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in values), "little")
-    ones, zeros = b"\xff" * nbytes, bytes(nbytes)
     lane = (1 << width) - 1
     full = (1 << n_vertices * width) - 1
     repunit = full // lane
@@ -266,16 +291,12 @@ def residual_witness(
     # added below is nonnegative in each lane, so no lane carries
     offset = max(lam, 0) * span
     acc = offset * repunit - lam * packed
-    s = n_vertices
-    for _ in range(params.n):
-        s //= q
-        for t in range(1, q):
-            # lanes whose symbol x_k is below q - t: the neighbor is t*s higher
-            below = int.from_bytes(
-                (ones * ((q - t) * s) + zeros * (t * s)) * (n_vertices // (q * s)), "little"
-            )
-            acc += (packed >> t * s * width) & below
-            acc += (packed << (q - t) * s * width) & (full ^ below)
+    cached = degree * n_vertices * nbytes <= LANE_MASK_CACHE_BYTES
+    for down, up, below in (_cached_lane_masks if cached else _lane_masks)(params.n, q, width):
+        # the lanes of below find their neighbor x_k + t (mod q) down bits
+        # higher, the others up bits lower
+        acc += (packed >> down) & below
+        acc += (packed << up) & (full ^ below)
     first = acc & lane
     diff = acc ^ first * repunit
     r0 = first - offset + (degree - lam) * low

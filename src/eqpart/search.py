@@ -15,16 +15,17 @@ Ginsberg, Luks and Roy 1996), and the cells found are closed under its
 generators afterwards (as in canonical augmentation, McKay 1998).  The
 search is sharded at the states it reaches at a fixed vertex; shards can
 run in forked worker processes, and the output is identical for any
-thread count.
+thread count.  Cells stay ints from the shards to the sorted output of
+backtracking_cells, which the enumerate command prints from.
 
 The up-to-iso filter keeps the least cell of each orbit of the group of
 coordinate and symbol permutations: the enumerated set is closed under
 that group, so the closure of each cell under the group's generators,
-the same closure that completes the search, is its orbit.  Complement
-swaps are not quotiented out: (C, complement) and (complement, C) are
-distinct.  The classification walks no group: it reads a construction's
-parameters off the slices of a partition and rebuilds the partition
-from them.
+the same closure by masked shifts that completes the search, is its
+orbit.  Complement swaps are not quotiented out: (C, complement) and
+(complement, C) are distinct.  The classification walks no group: it
+reads a construction's parameters off the slices of a partition and
+rebuilds the partition from them.
 
 The ternary census classifies only the functions in the span of the top
 two eigenspaces, which a meet-in-the-middle join over the linear
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import warnings
 from math import comb
-from operator import itemgetter
 from typing import Callable, Iterator, Optional, Union
 
 from .constructions import (
@@ -59,7 +59,6 @@ from .hamming import (
     digit_table,
     eigenvalue,
     neighbor_table,
-    vertex_map,
 )
 from .partitions import (
     NotEquitable,
@@ -82,7 +81,9 @@ BACKTRACK_LIMIT = 512
 # the closed-form member count bounds the classify calls, one per member.
 TERNARY_VERTEX_LIMIT = 18
 TERNARY_MEMBER_LIMIT = 1 << 16
-_Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
+# Bound on the cells of a lambda_1 enumeration: H(1, 18), 262,142 cells, takes
+# about 1.2 s and 37 MB from search to stdout on 2 vCPUs; H(1, 20), 4.8 s and 99 MB.
+INDEX1_CELL_LIMIT = 1 << 18
 
 
 class EnumConstraints(Record):
@@ -113,7 +114,9 @@ def candidate_quotient_matrices(
     lambda_i, correct row sums and S12, S21 >= 1.  Either way only matrices
     with an integer predicted cell size strictly between 0 and q^n are kept.
     Guarded to q^n <= 512, the bound of the backtracking search, since on
-    H(1, q) an eigenvalue index has up to q - 1 candidates.
+    H(1, q) an eigenvalue index has up to q - 1 candidates, and to at most
+    INDEX1_CELL_LIMIT lambda_1 cells by their closed-form count, n(2^q - 2)
+    at index 1.
     """
     if params.vertex_count > BACKTRACK_LIMIT:
         raise ValueError(f"search guarded to q^n <= {BACKTRACK_LIMIT}, got {params.vertex_count}")
@@ -131,11 +134,19 @@ def candidate_quotient_matrices(
             for s21 in range(1, k + 1)
             if lam + s21 >= 0 and k - lam - s21 >= 1
         )
-    return tuple(
+    kept = tuple(
         s for s in candidates
         if (size := predicted_cell_size(s, params)).denominator == 1
         and 0 < size < params.vertex_count
     )
+    # a lambda_1 cell depends on one coordinate (Meyerowitz), so the s21
+    # q^(n-1) vertices of a cell take s21 symbols there: n C(q, s21) cells
+    lam1 = eigenvalue(params, 1)
+    cells = sum(params.n * comb(params.q, s.rows[1][0])
+                for s in kept if s.rows[0][0] - s.rows[1][0] == lam1)
+    if cells > INDEX1_CELL_LIMIT:
+        raise ValueError(f"index-1 output guarded to {INDEX1_CELL_LIMIT} cells, got {cells}")
+    return kept
 
 
 def _fast_two_quotient(masks, cell: int, deg: int):
@@ -180,91 +191,47 @@ def brute_force_enumerate(
     # built here from neighbor_table, not from backtrack._pruning_table, so
     # that this route shares nothing with the backtracking route it certifies
     masks = [sum(1 << w for w in ws) for ws in neighbor_table(params)]
-    out = []
-    for cell in range(1, (1 << n_vertices) - 1):
-        s = _fast_two_quotient(masks, cell, params.degree)
-        if s is None or not _satisfies(params, s, constraints):
-            continue
-        p = TwoPartition(params, cell)
-        if constraints.reduced_only and len(essential_coordinates(p)) != params.n:
-            continue
-        out.append(p)
-    if constraints.up_to_iso:
-        out = _orbit_minima(out)
-    return out
+    cells = [cell for cell in range(1, (1 << n_vertices) - 1)
+             if (s := _fast_two_quotient(masks, cell, params.degree)) is not None
+             and _satisfies(params, s, constraints)]
+    return [TwoPartition(params, c) for c in _filtered(params, cells, constraints)]
+
+
+def _filtered(params: GraphParams, cells: list[int], constraints: EnumConstraints) -> list[int]:
+    """The cells that reduced_only and up_to_iso keep, in order; the
+    reduced filter builds one partition at a time."""
+    if constraints.reduced_only:
+        cells = [c for c in cells
+                 if len(essential_coordinates(TwoPartition(params, c))) == params.n]
+    return _orbit_minima(params, cells) if constraints.up_to_iso else cells
 
 
 # --- backtracking route -----------------------------------------------------
 
 
-def _partner(rows: _Rows) -> _Rows:
-    """The complement's quotient rows: [[a, b], [c, d]] -> [[d, c], [b, a]]."""
-    (a, b), (c, d) = rows
-    return (d, c), (b, a)
-
-
-def backtracking_enumerate(
-    params: GraphParams,
-    constraints: EnumConstraints,
-    threads: int = 1,
-) -> list[TwoPartition]:
-    """Enumerate equitable 2-partitions matching a quotient matrix or an
-    eigenvalue index by backtracking over vertex assignments, forcing
-    every vertex that an echelon row of (A - lam I) x = s21 * 1 determines.
-
-    The complement of a cell with quotient rows r = [[a, b], [c, d]] has
-    quotient rows partner(r) = [[d, c], [b, a]], with the same lam.  Every
-    row set in the candidates W and their partners is searched only over
-    the cells with vertex 0 in C; a cell found is kept when its rows are in
-    W, and its complement when their partner is.  So each cell with rows
-    in W is found: it holds vertex 0, or its complement holds it and has
-    the partner rows.
-
-    Root conditions: the search keeps only the cells in which, along each
-    coordinate k, the members of C among the neighbors of vertex 0 are
-    the least symbols 1..c_k, and c_1 <= ... <= c_n (backtrack._root_needs).  The
-    cells with vertex 0 in C and given quotient rows form a set that the
-    stabilizer of vertex 0, Stab(0) = S_n x| S_{q-1}^n, maps into itself,
-    since an automorphism keeps the quotient.  Every orbit of that set
-    meets the root conditions: symbol maps fixing 0 move each coordinate's
-    members onto the least symbols, and then a coordinate permutation
-    sorts the counts c_k.  So the closure of the cells found under the
-    generators of Stab(0), the adjacent coordinate transpositions and on
-    coordinate 1 the symbol maps (1 2) and (1 2 ... q-1), is every such
-    cell.  The closure runs in this process, before the sorted union.
-
-    The search (module backtrack, imported here so that commands that
-    never search do not compile it) is split at the live states of a
-    fixed depth into shards.  All shards are searched by min(threads,
-    os.cpu_count(), shard count) forked worker processes, or in this
-    process when that is one or os.fork is missing.  Output is sorted by
-    cell bitset, is identical for every thread count and agrees with
-    brute_force_enumerate wherever both are allowed to run.  Guarded to
-    q^n <= 512 by candidate_quotient_matrices.
+def backtracking_cells(
+    params: GraphParams, constraints: EnumConstraints, threads: int = 1
+) -> list[int]:
+    """The sorted cell bitsets of the equitable 2-partitions matching a
+    quotient matrix or an eigenvalue index, found by the backtracking
+    search of module backtrack (imported here, so that commands that never
+    search do not compile it) on min(threads, os.cpu_count(), shard count)
+    forked worker processes; see backtrack.search_cells.  Output is
+    identical for every thread count.  Guarded by
+    candidate_quotient_matrices.
     """
     from . import backtrack
 
     kept = [s.rows for s in candidate_quotient_matrices(params, constraints)]
-    searched = tuple(dict.fromkeys(kept + [_partner(r) for r in kept]))
-    shards = backtrack.live_shards(params, searched)
-    found: dict[_Rows, list[int]] = {rows: [] for rows in searched}
-    for (_, rows, _, _), cells_found in zip(shards, backtrack.run_shards(shards, threads)):
-        found[rows] += cells_found
-    close = _orbit_closure(params, 1)
-    full = (1 << params.vertex_count) - 1
-    cells: set[int] = set()
-    for rows, seeds in found.items():
-        closed = close(seeds)
-        if rows in kept:
-            cells |= closed
-        if _partner(rows) in kept:
-            cells.update(full ^ cell for cell in closed)
-    out = [TwoPartition(params, c) for c in sorted(cells)]
-    if constraints.reduced_only:
-        out = [p for p in out if len(essential_coordinates(p)) == params.n]
-    if constraints.up_to_iso:
-        out = _orbit_minima(out)
-    return out
+    return _filtered(params, backtrack.search_cells(params, kept, threads), constraints)
+
+
+def backtracking_enumerate(
+    params: GraphParams, constraints: EnumConstraints, threads: int = 1
+) -> list[TwoPartition]:
+    """The partitions of backtracking_cells, sorted by cell bitset.  They
+    agree with brute_force_enumerate wherever both are allowed to run."""
+    return [TwoPartition(params, c) for c in backtracking_cells(params, constraints, threads)]
 
 
 # --- orbits: closure and minima ---------------------------------------------
@@ -277,30 +244,34 @@ def _orbit_closure(params: GraphParams, lo: int) -> Callable[[list[int]], set[in
     the whole group for lo = 0, and under the stabilizer of vertex 0 for
     lo = 1.
 
-    The image of a cell is its pull along the generator's vertex_map, that
-    is its image under the inverse, which generates the same group.  Each
-    generator's getter is built once and each cell's binary digits are
-    formatted once: digit j stands for vertex q^n - 1 - j, so the pull
-    along vmap takes digit j of the image from digit q^n - 1 - vmap[q^n -
-    1 - j] of the cell.
+    Each generator adds one offset to the index of every vertex in a block
+    of digit_masks fibers, so the image of a cell is an OR of masked
+    shifts.  The transposition of coordinates k and k + 1 moves the block
+    x_k = a, x_(k+1) = b by d (q^(n-k) - q^(n-k-1)) with d = b - a: 2q - 1
+    masks, one per d.  A symbol map alpha on coordinate 1 moves the fiber
+    x_1 = a by (alpha(a) - a) q^(n-1).  No offset is below -base, so each
+    masked part is shifted up by its offset plus base, and the OR down by
+    base.
     """
-    n, top = params.n, params.vertex_count - 1
-    coords, ident = tuple(range(1, n + 1)), tuple(range(params.q))
+    n, q = params.n, params.q
+    fibers, base = digit_masks(params), (q - 1) * q ** (n - 1)
+    ident = tuple(range(q))
     fixed, moved = ident[:lo], ident[lo:]
     swap, cycle = fixed + moved[1:2] + moved[:1] + moved[2:], fixed + moved[1:] + moved[:1]
-    gens = [Automorphism(coords[:k] + (k + 2, k + 1) + coords[k + 2:], (ident,) * n)
-            for k in range(n - 1)]
-    gens += [Automorphism(coords, (alpha, *(ident,) * (n - 1)))
+    gens = [[(sum(x & fibers[k][a + d] for a, x in enumerate(fibers[k - 1]) if 0 <= a + d < q),
+              base + d * (q ** (n - k) - q ** (n - k - 1))) for d in range(1 - q, q)]
+            for k in range(1, n)]
+    gens += [[(x, base + (alpha[a] - a) * q ** (n - 1)) for a, x in enumerate(fibers[0])]
              for alpha in dict.fromkeys((swap, cycle)) if alpha != ident]
-    getters = [itemgetter(*[top - w for w in reversed(vertex_map(params, g))]) for g in gens]
-    width = f"0{top + 1}b"
 
     def close(seeds: list[int]) -> set[int]:
         closed, todo = set(seeds), list(seeds)
         for cell in todo:       # todo grows while it is read
-            digits = format(cell, width)
-            for getter in getters:
-                image = int("".join(getter(digits)), 2)
+            for gen in gens:
+                image = 0
+                for mask, shift in gen:
+                    image |= (cell & mask) << shift
+                image >>= base
                 if image not in closed:
                     closed.add(image)
                     todo.append(image)
@@ -309,25 +280,23 @@ def _orbit_closure(params: GraphParams, lo: int) -> Callable[[list[int]], set[in
     return close
 
 
-def _orbit_minima(found: list[TwoPartition]) -> list[TwoPartition]:
-    """The partitions of found whose cell is the least of its orbit under
-    the graph automorphisms, in the order of found.
+def _orbit_minima(params: GraphParams, cells: list[int]) -> list[int]:
+    """The cells that are the least of their orbit under the graph
+    automorphisms, in the order of cells.
 
-    found is a set the group maps into itself, so the _orbit_closure of
-    each cell is its orbit.  An orbit that leaves found raises
+    cells is a set the group maps into itself, so the _orbit_closure of
+    each cell is its orbit.  An orbit that leaves cells raises
     AssertionError: the search lost part of it.
     """
-    if not found:
-        return found
-    close = _orbit_closure(found[0].params, 0)
-    cells, least = {p.cell for p in found}, {}
-    for p in found:
-        if p.cell not in least:
-            orbit = close([p.cell])
-            if not orbit <= cells:
-                raise AssertionError(f"the orbit of cell {p.cell:#x} is missing cells")
+    close = _orbit_closure(params, 0)
+    members, least = set(cells), {}
+    for cell in cells:
+        if cell not in least:
+            orbit = close([cell])
+            if not orbit <= members:
+                raise AssertionError(f"the orbit of cell {cell:#x} is missing cells")
             least.update(dict.fromkeys(orbit, min(orbit)))
-    return [p for p in found if least[p.cell] == p.cell]
+    return [c for c in cells if least[c] == c]
 
 
 # --- ternary function census -------------------------------------------------

@@ -18,7 +18,7 @@ from eqpart.cli import run_command
 from eqpart.constructions import eight_cycle_partition
 from eqpart.documents import hex_to_cell, partition_from_doc, partition_to_doc
 from eqpart.hamming import neighbor_table, random_automorphism
-from eqpart.partitions import TwoPartition, equitable_check, extend, transform
+from eqpart.partitions import equitable_check, extend, transform
 
 
 def run(argv, stdin_text=None, monkeypatch=None):
@@ -288,8 +288,7 @@ def test_enumerate_routes_refuse_the_same_quotients():
 
 def test_enumerate_refuses_a_cell_of_no_candidate_size(monkeypatch):
     """A cell whose size is no candidate's means the search is at fault."""
-    monkeypatch.setattr("eqpart.cli.backtracking_enumerate",
-                        lambda params, constraints, threads: [TwoPartition(params, 1)])
+    monkeypatch.setattr("eqpart.cli.backtracking_cells", lambda params, constraints, threads: [1])
     with pytest.raises(AssertionError, match="no candidate quotient"):
         run(["enumerate", "--n", "2", "--q", "2", "--eig-index", "2"])
 
@@ -308,9 +307,10 @@ def test_enumerate_explicit_quotient():
 
 
 def test_enumerate_up_to_iso_needs_no_group_guard():
-    """--up-to-iso keeps the least cell of each orbit by union-find over
-    generator images, so it needs no walk of the group: on H(1, 6) the
-    classes are the cells {0..s-1}, one per size."""
+    """--up-to-iso keeps the least cell of each orbit, which the closure
+    of the cell under the group's generators gives, so it needs no walk of
+    the group: on H(1, 6) the classes are the cells {0..s-1}, one per
+    size."""
     code, out, err = run(["enumerate", "--n", "1", "--q", "6", "--eig-index", "1",
                           "--up-to-iso"])
     assert (code, err) == (0, "")
@@ -351,7 +351,7 @@ def test_classify_t5(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("classify-t5 ran a search")
 
-    monkeypatch.setattr(eqpart.search, "backtracking_enumerate", refuse)
+    monkeypatch.setattr(eqpart.search, "backtracking_cells", refuse)
     for path, split in ((write_doc(tmp_path, "p.json", EIGHT), [0]), (lift, [0, 1])):
         code, out, err = run(["classify-t5", path])
         assert (code, err) == (0, "")
@@ -481,6 +481,9 @@ def test_sweep_ternary():
       "vertices": [12 * a + b for a in range(12) for b in range(12) if (a + b) % 2 == 0]}],
     ["lift", "--blocks", ",".join(map(str, range(32))) + "|" + ",".join(map(str, range(32, 64))),
      "--input", EIGHT],
+    # index-1 outputs past 2^18 cells by the closed form n(2^q - 2)
+    ["enumerate", "--n", "1", "--q", "40", "--eig-index", "1"],
+    ["enumerate", "--n", "2", "--q", "22", "--eig-index", "1"],
 ])
 def test_huge_graphs_are_refused_at_once(argv, tmp_path):
     """Each document in argv is written to a file and passed by its path."""

@@ -1,6 +1,7 @@
 """JSON document parsing, the nibble-wise hex cell codec and the result
 serializer."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from eqpart.documents import (
     load_json,
     parse_blocks,
     partition_from_doc,
+    partition_lines,
     partition_to_doc,
     tagged,
     to_json,
@@ -72,6 +74,22 @@ def test_partition_doc_round_trip():
     assert partition_from_doc(doc) == p
     by_vertices = {"format_version": 1, "n": 4, "q": 2, "vertices": p.vertices()}
     assert partition_from_doc(by_vertices) == p
+
+
+def test_partition_lines_match_the_encoder():
+    """partition_lines renders the bytes of json.dumps(partition_to_doc(p),
+    sort_keys=True) and a newline for each cell, on graphs with q^n mod 4
+    = 0, 1, 2 and 3, so the last hex digit holds 4, 1, 2 and 3 bits."""
+    rng = random.Random(3)
+    for params in (GraphParams(2, 2), GraphParams(2, 3), GraphParams(1, 6), GraphParams(3, 3)):
+        full = (1 << params.vertex_count) - 1
+        cells = [1, full - 1, 1 << params.vertex_count - 1, full >> 1]
+        cells += [rng.randrange(1, full) for _ in range(20)]
+        expected = "".join(
+            json.dumps(partition_to_doc(TwoPartition(params, c)), sort_keys=True) + "\n"
+            for c in cells)
+        assert partition_lines(params, cells) == expected, params
+    assert partition_lines(GraphParams(2, 2), []) == ""
 
 
 def test_partition_doc_rejects():

@@ -96,7 +96,7 @@ def searched_rows(params, constraints):
     """The quotient rows backtracking_enumerate searches: the candidates,
     then the partners that are not candidates."""
     rows = [s.rows for s in candidate_quotient_matrices(params, constraints)]
-    return tuple(dict.fromkeys(rows + [search._partner(r) for r in rows]))
+    return tuple(dict.fromkeys(rows + [backtrack._partner(r) for r in rows]))
 
 
 def test_backtracking_matches_brute_force():
@@ -242,14 +242,16 @@ OUTPUT_PINS = (
     (4, 3, 2, 648, "58fa00411e841171db906eb50a0053991339850cf79ff25e572946c12d2962e3"),
     (6, 2, 3, 19600, "700aad3fa027e7c7dcd143af4dd760c7e3fd5a21adfc6c9327c80f3da589da44"),
     (3, 4, 2, 26766, "77acb5a39e72b2372f5ee3fdd9db2694da35fb5b35a7b1ae8bc4e2eaec96adbf"),
+    (4, 4, 2, 108180, "2af5815075cbe3a856503902e98de3fba292a83e433c1ba45e0e5d9a967b960b"),
 )
+PIN_THREADS = {(3, 4): (1, 2, 8), (4, 4): (2,)}
 
 
 def test_sorted_output_is_pinned():
     """The sorted cells keep their count and SHA-256; H(3, 4) also with
-    2 and 8 worker processes."""
+    2 and 8 worker processes, and H(4, 4) only with 2 (about 3 s)."""
     for n, q, index, count, digest in OUTPUT_PINS:
-        for threads in (1, 2, 8) if (n, q) == (3, 4) else (1,):
+        for threads in PIN_THREADS.get((n, q), (1,)):
             found = backtracking_enumerate(
                 GraphParams(n, q), EnumConstraints(eigenvalue_index=index), threads=threads
             )
@@ -272,15 +274,17 @@ def _meets_root_conditions(params, cell):
     return counts == sorted(counts)
 
 
-def _stabilizer_closure(params, cells):
-    """The images of the cells under the automorphisms that fix vertex 0,
-    by a breadth-first search over the coordinate transpositions and every
-    symbol transposition (a b), 0 < a < b, on coordinate 1."""
+def _stabilizer_closure(params, cells, lo=1):
+    """The images of the cells under the automorphisms that fix the
+    symbols 0..lo-1 on every coordinate (lo = 1: those that fix vertex 0;
+    lo = 0: all), by a breadth-first search over the adjacent coordinate
+    transpositions and every symbol transposition (a b), lo <= a < b, on
+    coordinate 1, through transform."""
     n, q = params.n, params.q
     coords, ident = tuple(range(1, n + 1)), tuple(range(q))
     gens = [Automorphism(coords[:k] + (k + 2, k + 1) + coords[k + 2:], (ident,) * n)
             for k in range(n - 1)]
-    for a, b in itertools.combinations(range(1, q), 2):
+    for a, b in itertools.combinations(range(lo, q), 2):
         alpha = list(ident)
         alpha[a], alpha[b] = b, a
         gens.append(Automorphism(coords, (tuple(alpha),) + (ident,) * (n - 1)))
@@ -316,6 +320,42 @@ def test_root_closure_matches_brute_force():
     assert checked
 
 
+def _cell_of(params, test):
+    """The cell of the vertices whose digit tuple passes test."""
+    return TwoPartition.from_tuples(
+        params, [x for x in itertools.product(range(params.q), repeat=params.n) if test(x)]).cell
+
+
+def test_orbit_closure_matches_transform_closure():
+    """search._orbit_closure, by masked shifts, reaches from each seed the
+    cells that a breadth-first search through transform reaches, under the
+    whole group (lo = 0) and under the stabilizer of vertex 0 (lo = 1):
+    from a cell of each orbit of the equitable cells and from a random cell
+    of the route graphs and H(1, 5), and from cells of small orbits on
+    H(2, 6) and H(4, 4)."""
+    rng = random.Random(5)
+    seeds = {}
+    for params in (*ROUTE_GRAPHS, GraphParams(1, 5)):
+        cells = [p.cell for i in range(params.n + 1)
+                 for p in backtracking_enumerate(params, EnumConstraints(eigenvalue_index=i))]
+        seeds[params] = cells + [rng.randrange(1, (1 << params.vertex_count) - 1)]
+    h26, h44 = GraphParams(2, 6), GraphParams(4, 4)
+    seeds[h26] = [_cell_of(h26, lambda x: x[0] < 2),
+                  _cell_of(h26, lambda x: (x[0] < 3) != (x[1] == 5)),
+                  _cell_of(h26, lambda x: x[0] == x[1])]
+    seeds[h44] = [_cell_of(h44, lambda x: x[1] in (0, 3)),
+                  _cell_of(h44, lambda x: (x[0] < 2) != (x[3] < 2)),
+                  _cell_of(h44, lambda x: x[1] == 0 and x[3] != 2)]
+    for params, cells in seeds.items():
+        for lo in (0, 1):
+            close, reached = search._orbit_closure(params, lo), set()
+            for cell in cells:
+                if cell not in reached:     # one seed per orbit
+                    orbit = _stabilizer_closure(params, [cell], lo)
+                    assert close([cell]) == orbit, (params, lo, cell)
+                    reached |= orbit
+
+
 # graphs on which the index-1 closed form is pinned
 INDEX1_GRAPHS = tuple(
     GraphParams(n, q) for q, top in ((2, 6), (3, 4), (4, 3), (5, 3)) for n in range(1, top + 1)
@@ -333,6 +373,25 @@ def test_index1_closed_form():
             params, EnumConstraints(eigenvalue_index=1, reduced_only=True))
         assert len(total) == n * (2 ** q - 2), params
         assert len(reduced) == (len(total) if n == 1 else 0), params
+
+
+def test_index1_output_is_guarded():
+    """The lambda_1 candidates admit at most 2^18 cells by the closed form:
+    n C(q, s21) for each, n (2^q - 2) at index 1.  H(1, 18) and H(2, 17)
+    are admitted, H(1, 19) and H(2, 18) refused; on H(1, 40) the quotient
+    of one-symbol cells (40 of them) is admitted, and that of 20-symbol
+    cells refused."""
+    index1 = EnumConstraints(eigenvalue_index=1)
+    for n, q in ((1, 18), (2, 17)):
+        assert len(candidate_quotient_matrices(GraphParams(n, q), index1)) == q - 1
+    for n, q in ((1, 19), (2, 18)):
+        with pytest.raises(ValueError, match="index-1 output guarded to 262144 cells"):
+            candidate_quotient_matrices(GraphParams(n, q), index1)
+    h140 = GraphParams(1, 40)
+    one = EnumConstraints(quotient=QuotientMatrix(((0, 39), (1, 38))))
+    assert [p.cell for p in backtracking_enumerate(h140, one)] == [1 << v for v in range(40)]
+    with pytest.raises(ValueError, match=f"got {comb(40, 20)}"):
+        candidate_quotient_matrices(h140, EnumConstraints(quotient=QuotientMatrix(((19, 20), (20, 19)))))
 
 
 def test_forced_table_free_vertices():
@@ -476,7 +535,7 @@ def test_up_to_iso_keeps_orbit_minima():
     found = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2))
     for i in (0, 30, len(found) - 1):
         with pytest.raises(AssertionError, match="missing"):
-            search._orbit_minima(found[:i] + found[i + 1:])
+            search._orbit_minima(H42, [p.cell for p in found[:i] + found[i + 1:]])
 
 
 def test_up_to_iso_h25_matches_orbit_union_find():
