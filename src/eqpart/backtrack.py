@@ -291,8 +291,14 @@ def search_cells(params: GraphParams, kept: list[_Rows], threads: int) -> list[i
     generators of Stab(0), the adjacent coordinate transpositions and on
     coordinate 1 the symbol maps (1 2) and (1 2 ... q-1), is every such
     cell.  The closure runs in this process, on the cells as ints
-    (search._orbit_closure), before the sorted union.  The shards run by
-    run_shards.
+    (search._orbit_closure).  The shards run by run_shards.
+
+    Each row set's sorted closure is one ascending run of the output, and
+    the complements of that closure, reversed, are another.  The runs are
+    disjoint: cells with different quotient rows differ, and within one
+    row set the closed cells hold vertex 0 while the complements of its
+    partner's closure do not.  So no cell is held twice, and one sort,
+    which merges the runs, gives the sorted union.
     """
     searched = tuple(dict.fromkeys(kept + [_partner(r) for r in kept]))
     shards = live_shards(params, searched)
@@ -301,11 +307,12 @@ def search_cells(params: GraphParams, kept: list[_Rows], threads: int) -> list[i
         found[rows] += cells_found
     close = _orbit_closure(params, 1)
     full = (1 << params.vertex_count) - 1
-    cells: set[int] = set()
+    cells: list[int] = []
     for rows, seeds in found.items():
-        closed = close(seeds)
+        closed = sorted(close(seeds))
         if rows in kept:
-            cells |= closed
+            cells += closed
         if _partner(rows) in kept:
-            cells.update(full ^ cell for cell in closed)
-    return sorted(cells)
+            cells += [full ^ cell for cell in reversed(closed)]
+    cells.sort()
+    return cells

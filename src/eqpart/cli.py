@@ -246,8 +246,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             reduced_only=args.reduced_only,
             up_to_iso=args.up_to_iso,
         )
-        if constraints.quotient is None and constraints.eigenvalue_index is None:
-            raise ValueError("give one of --eig-index and --quotient")
         # refuses a malformed quotient for both routes, not just the search
         candidates = candidate_quotient_matrices(params, constraints)
         if args.threads < 1:

@@ -252,7 +252,7 @@ def lifted_cycle_pair(
         raise ValueError("cycle pair must be a partition of H(4, 2)")
     if is_induced_cycle(cp_params, cycle_pair.vertices()) != 8:
         raise ValueError("cell of the cycle pair is not an induced 8-cycle")
-    if is_induced_cycle(cp_params, TwoPartition(cp_params, cycle_pair.complement_bits()).vertices()) != 8:
+    if is_induced_cycle(cp_params, cycle_pair.complement().vertices()) != 8:
         raise ValueError("complement of the cycle pair is not an induced 8-cycle")
     # Both cells are 2-regular, so the quotient is [[2, 2], [2, 2]], and
     # lift_two_partition asserts the lifted one: lambda = 2q - 4.

@@ -142,15 +142,6 @@ def partition_from_doc(doc: Mapping[str, Any]) -> TwoPartition:
         raise DocumentError(str(exc)) from None
 
 
-def function_to_doc(f: VertexFunction) -> dict[str, Any]:
-    return {
-        "format_version": FORMAT_VERSION,
-        "n": f.params.n,
-        "q": f.params.q,
-        "values": list(f.values),
-    }
-
-
 def function_from_doc(doc: Mapping[str, Any]) -> VertexFunction:
     if not isinstance(doc, Mapping):
         raise DocumentError("function document must be a JSON object")

@@ -149,17 +149,6 @@ def encode_vertex(params: GraphParams, coords: Sequence[int]) -> int:
     return v
 
 
-def decode_vertex(params: GraphParams, v: int) -> tuple[int, ...]:
-    """Tuple (x_1, ..., x_n) of the vertex with index v."""
-    if not 0 <= v < params.vertex_count:
-        raise ValueError(f"vertex {v} outside [0, {params.vertex_count})")
-    out = []
-    for _ in range(params.n):
-        out.append(v % params.q)
-        v //= params.q
-    return tuple(reversed(out))
-
-
 def neighbors(params: GraphParams, v: int) -> list[tuple[int, int]]:
     """All (k, w) with w adjacent to v by changing coordinate k.
 
@@ -338,6 +327,7 @@ class Automorphism(Record):
     coord_perm[k-1] = pi(k) says which source coordinate feeds target
     coordinate k; alpha_perms[k-1] is the symbol permutation applied at
     target coordinate k (alpha_perms[k-1][s] is the image of symbol s).
+    partitions.transform applies it to a partition.
     """
 
     coord_perm: tuple[int, ...]
@@ -353,38 +343,6 @@ class Automorphism(Record):
         for a in self.alpha_perms:
             if sorted(a) != list(range(q)):
                 raise ValueError(f"alpha permutation {a} is not a permutation of 0..{q - 1}")
-
-
-def apply_automorphism(params: GraphParams, g: Automorphism, v: int) -> int:
-    """Image of vertex v under g, one vertex at a time.
-
-    Nothing in the package calls it: it is the per-vertex oracle that the
-    tests hold vertex_map, the up-to-iso orbit filter built on it, and
-    partitions.transform to.
-    """
-    if len(g.coord_perm) != params.n or len(g.alpha_perms[0]) != params.q:
-        raise ValueError("automorphism shape does not match the graph")
-    x = decode_vertex(params, v)
-    y = tuple(
-        g.alpha_perms[k][x[g.coord_perm[k] - 1]] for k in range(params.n)
-    )
-    return encode_vertex(params, y)
-
-
-def vertex_map(params: GraphParams, g: Automorphism) -> tuple[int, ...]:
-    """The full vertex permutation induced by g, as a lookup tuple.
-
-    Equal to apply_automorphism at every vertex: the image index is a sum
-    of one term per source coordinate, a digit_table.
-    """
-    n, q = params.n, params.q
-    if len(g.coord_perm) != n or len(g.alpha_perms[0]) != q:
-        raise ValueError("automorphism shape does not match the graph")
-    # source coordinate j feeds the target coordinate k with pi(k) = j
-    return digit_table(params, [
-        [a * q ** (n - k) for a in g.alpha_perms[k - 1]]
-        for k in (g.coord_perm.index(j) + 1 for j in range(1, n + 1))
-    ])
 
 
 def random_automorphism(params: GraphParams, rng) -> Automorphism:

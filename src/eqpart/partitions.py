@@ -184,12 +184,8 @@ def equitable_check(p: TwoPartition) -> QuotientMatrix | NotEquitable:
     if mismatch:
         v = (mismatch & -mismatch).bit_length() - 1
         c = 0 if p.contains(v) else 1
-        return NotEquitable(
-            cell=c,
-            vertices=(firsts[c], v),
-            target_cell=0,
-            counts=(ref[c], _count_at(planes, v)),
-        )
+        # built positionally: a keyword construction takes Record._bind
+        return NotEquitable(c, (firsts[c], v), 0, (ref[c], _count_at(planes, v)))
     degree = p.params.degree
     return QuotientMatrix(tuple((k, degree - k) for k in ref))
 

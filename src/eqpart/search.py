@@ -89,8 +89,11 @@ INDEX1_CELL_LIMIT = 1 << 18
 class EnumConstraints(Record):
     """Restrictions applied while enumerating 2-partitions.
 
-    At most one of quotient / eigenvalue_index may be set.  reduced_only
-    keeps partitions with every coordinate essential; up_to_iso keeps one
+    Exactly one of quotient / eigenvalue_index is set.  __post_init__
+    refuses neither and both with the same ValueError, and no other code
+    checks the rule: candidate_quotient_matrices, the sweep and the
+    enumerate command take a record as proof of it.  reduced_only keeps
+    partitions with every coordinate essential; up_to_iso keeps one
     representative per isomorphism class, the least cell of its orbit.
     """
 
@@ -100,8 +103,8 @@ class EnumConstraints(Record):
     up_to_iso: bool = False
 
     def __post_init__(self) -> None:
-        if self.quotient is not None and self.eigenvalue_index is not None:
-            raise ValueError("give a quotient matrix or an eigenvalue index, not both")
+        if (self.quotient is None) == (self.eigenvalue_index is None):
+            raise ValueError("give one of a quotient matrix and an eigenvalue index")
 
 
 def candidate_quotient_matrices(
@@ -125,8 +128,6 @@ def candidate_quotient_matrices(
         if constraints.quotient.row_sums() != (k, k):
             raise ValueError("quotient constraint has wrong shape or row sums")
         candidates: tuple[QuotientMatrix, ...] = (constraints.quotient,)
-    elif constraints.eigenvalue_index is None:
-        raise ValueError("constraints resolve to no candidate quotient matrices")
     else:
         lam = eigenvalue(params, constraints.eigenvalue_index)
         candidates = tuple(
@@ -172,14 +173,10 @@ def _satisfies(params, s_tuple, constraints) -> bool:
     if constraints.quotient is not None:
         s = constraints.quotient
         return s_tuple == (s.rows[0][0], s.rows[0][1], s.rows[1][0], s.rows[1][1])
-    if constraints.eigenvalue_index is not None:
-        return s_tuple[0] - s_tuple[2] == eigenvalue(params, constraints.eigenvalue_index)
-    return True
+    return s_tuple[0] - s_tuple[2] == eigenvalue(params, constraints.eigenvalue_index)
 
 
-def brute_force_enumerate(
-    params: GraphParams, constraints: EnumConstraints = EnumConstraints()
-) -> list[TwoPartition]:
+def brute_force_enumerate(params: GraphParams, constraints: EnumConstraints) -> list[TwoPartition]:
     """Sweep all 2^(q^n) - 2 proper cells; keep the equitable ones that
     satisfy the constraints.  Guarded to q^n <= 25.  Output is sorted by
     cell bitset."""

@@ -14,7 +14,7 @@ from eqpart.constructions import (
     lifted_cycle_pair,
     permutation_switching,
 )
-from eqpart.hamming import GraphParams, decode_vertex, eigenvalue
+from eqpart.hamming import GraphParams, eigenvalue
 from eqpart.partitions import (
     NotEquitable,
     QuotientMatrix,
@@ -25,6 +25,7 @@ from eqpart.partitions import (
     quotient_eigenvalue_indices,
 )
 from eqpart.search import EnumConstraints, backtracking_enumerate
+from oracles import decode_vertex
 
 
 def parity_base(q):

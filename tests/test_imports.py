@@ -1,8 +1,10 @@
-"""Each module imports on its own, in a fresh interpreter.
+"""Each module imports on its own, in a fresh interpreter, and every
+public name of the package has a caller.
 
 In one test process every module is already loaded by the time a test
 runs, which hides an import cycle that only shows when a module is the
-first one imported.
+first one imported.  The modules are the package's *.py files, so a new
+module is checked as soon as it exists.
 """
 
 import ast
@@ -15,9 +17,10 @@ import pytest
 
 import eqpart
 
-MODULES = ("hamming", "partitions", "eigenfunctions", "constructions", "search",
-           "backtrack", "documents", "cli")
-SRC = str(Path(eqpart.__file__).resolve().parent.parent)
+PACKAGE = Path(eqpart.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
+MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")
+                       if path.stem not in ("__init__", "__main__")))
 
 
 def _loaded_by(module):
@@ -52,7 +55,7 @@ def test_cli_loads_the_same_eqpart_modules():
         "eqpart.eigenfunctions", "eqpart.hamming", "eqpart.partitions", "eqpart.search"}
     for module in MODULES:
         if module not in ("search", "backtrack"):
-            tree = ast.parse(Path(SRC, "eqpart", f"{module}.py").read_text())
+            tree = ast.parse(Path(PACKAGE, f"{module}.py").read_text())
             imported = {alias.name for node in ast.walk(tree)
                         if isinstance(node, (ast.Import, ast.ImportFrom))
                         for alias in node.names}
@@ -77,15 +80,46 @@ def test_import_leaves_out_dataclasses_and_inspect(module):
     assert not {"dataclasses", "inspect"} & _loaded_by(module)
 
 
-def test_only_hamming_decodes_vertices():
-    """The vertex encoding has one owner: every other module reaches the
-    digits of a vertex through hamming's tables and masks, not through
-    decode_vertex."""
-    for module in MODULES:
-        if module == "hamming":
-            continue
-        tree = ast.parse(Path(SRC, "eqpart", f"{module}.py").read_text())
-        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
-        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        assert "decode_vertex" not in names, module
+def _reads(tree, node):
+    """The names that node, a part of tree, reads as a name or an
+    attribute; a name bound by an import with "as" reads as the name
+    imported.  Import statements themselves read nothing."""
+    aliases = {alias.asname: alias.name.rpartition(".")[2] for alias in ast.walk(tree)
+               if isinstance(alias, ast.alias) and alias.asname}
+    read = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read.add(aliases.get(sub.id, sub.id))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read.add(sub.attr)
+    return read
+
+
+def test_no_module_decodes_vertices():
+    """The package never takes a vertex apart digit by digit: every module
+    reaches the digits of a vertex through hamming's tables and masks.
+    The per-vertex decode is a test oracle (tests/oracles.py)."""
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names = {node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef))}
+        assert "decode_vertex" not in names | _reads(tree, tree), path.name
+
+
+def test_every_public_name_has_a_caller():
+    """Every public top-level function and class of the package is read
+    by package code outside its own definition, or by the acceptance
+    tests; a name that only other tests reach belongs in tests/."""
+    acceptance = ast.parse(Path(__file__).with_name("test_acceptance.py").read_text())
+    read = _reads(acceptance, acceptance)
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append(f"{path.stem}.{node.name}")
+                read |= _reads(tree, node) - {node.name}
+            else:
+                read |= _reads(tree, node)
+    unread = [name for name in defined if name.partition(".")[2] not in read]
+    assert not unread, unread

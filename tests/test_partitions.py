@@ -8,8 +8,6 @@ import pytest
 from eqpart.constructions import eight_cycle_partition, lifted_cycle_pair
 from eqpart.hamming import (
     GraphParams,
-    apply_automorphism,
-    decode_vertex,
     digit_masks,
     eigenvalue,
     essential_coordinates_of_values,
@@ -34,6 +32,7 @@ from eqpart.partitions import (
     transform,
 )
 from eqpart.search import EnumConstraints, _fast_two_quotient, backtracking_enumerate
+from oracles import apply_automorphism, decode_vertex
 
 H22 = GraphParams(2, 2)
 H32 = GraphParams(3, 2)
@@ -221,7 +220,8 @@ def _recount_check(p, counts):
         if ref[c] is None:
             ref[c], first[c] = count, v
         elif count != ref[c]:
-            return NotEquitable(cell=c, vertices=(first[c], v), target_cell=0, counts=(ref[c], count))
+            # built positionally, which skips Record._bind
+            return NotEquitable(c, (first[c], v), 0, (ref[c], count))
     return QuotientMatrix(tuple((k, p.params.degree - k) for k in ref))
 
 

@@ -25,7 +25,7 @@ from eqpart.constructions import (
 )
 from eqpart.documents import cell_to_hex, hex_to_cell
 from eqpart.eigenfunctions import VertexFunction, in_top_two_eigenspaces
-from eqpart.hamming import Automorphism, GraphParams, encode_vertex, vertex_map
+from eqpart.hamming import Automorphism, GraphParams, encode_vertex
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
@@ -44,6 +44,7 @@ from eqpart.search import (
     classify_reduced_lambda2,
     enumerate_ternary_census,
 )
+from oracles import vertex_map
 
 H22 = GraphParams(2, 2)
 H32 = GraphParams(3, 2)
@@ -53,8 +54,14 @@ ROUTE_GRAPHS = (H22, GraphParams(2, 3), H32, GraphParams(2, 4))
 
 
 def test_constraints_validation():
-    with pytest.raises(ValueError):
+    """The record is the one check that exactly one of a quotient and an
+    eigenvalue index is given."""
+    with pytest.raises(ValueError, match="give one of"):
         EnumConstraints(quotient=QuotientMatrix(((1, 1), (1, 1))), eigenvalue_index=1)
+    with pytest.raises(ValueError, match="give one of"):
+        EnumConstraints()
+    with pytest.raises(ValueError, match="give one of"):
+        EnumConstraints(reduced_only=True, up_to_iso=True)
 
 
 def test_candidate_quotient_matrices():
@@ -73,8 +80,6 @@ def test_candidate_quotient_matrices():
     assert candidate_quotient_matrices(H32, EnumConstraints(quotient=explicit)) == (explicit,)
     with pytest.raises(ValueError):
         candidate_quotient_matrices(H22, EnumConstraints(quotient=explicit))
-    with pytest.raises(ValueError):
-        candidate_quotient_matrices(H22, EnumConstraints())
 
 
 def test_brute_force_known_counts():
@@ -247,16 +252,23 @@ OUTPUT_PINS = (
 PIN_THREADS = {(3, 4): (1, 2, 8), (4, 4): (2,)}
 
 
+@lru_cache(maxsize=1)
+def _pinned_cells(n, q, index, threads):
+    """The sorted cells of one pin.  The last search is kept, so the
+    theorem test reuses the H(4, 4) one rather than search again."""
+    found = backtracking_enumerate(
+        GraphParams(n, q), EnumConstraints(eigenvalue_index=index), threads=threads)
+    return tuple(p.cell for p in found)
+
+
 def test_sorted_output_is_pinned():
     """The sorted cells keep their count and SHA-256; H(3, 4) also with
     2 and 8 worker processes, and H(4, 4) only with 2 (about 3 s)."""
     for n, q, index, count, digest in OUTPUT_PINS:
         for threads in PIN_THREADS.get((n, q), (1,)):
-            found = backtracking_enumerate(
-                GraphParams(n, q), EnumConstraints(eigenvalue_index=index), threads=threads
-            )
-            text = ",".join(format(p.cell, "x") for p in found)
-            assert (len(found), hashlib.sha256(text.encode()).hexdigest()) == (count, digest), (
+            cells = _pinned_cells(n, q, index, threads)
+            text = ",".join(format(cell, "x") for cell in cells)
+            assert (len(cells), hashlib.sha256(text.encode()).hexdigest()) == (count, digest), (
                 n, q, index, threads)
 
 
@@ -663,12 +675,10 @@ def _lift_orbit(q):
 def test_cycle_pair_recognizer_matches_lift_orbit():
     """_match_cycle_pair_lifting gives the first split and the constant
     pair on every cell of the orbit of a lift, and _match_switching none.
-    On H(4, 2) the orbit's 24 cells are the reduced lambda_2 cells; on
-    H(4, 4) its 1,944 cells are 24 * (C(4, 2) / 2)^4, the number of
-    distinct lifts.  A one-bit flip of each orbit cell is refused by both
-    recognizers."""
-    reduced = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2, reduced_only=True))
-    assert _lift_orbit(2) == {p.cell for p in reduced}
+    On H(4, 2) the orbit has 24 cells; on H(4, 4) its 1,944 cells are
+    24 * (C(4, 2) / 2)^4, the number of distinct lifts.  A one-bit flip of
+    each orbit cell is refused by both recognizers."""
+    assert len(_lift_orbit(2)) == 24
     assert len(_lift_orbit(4)) == 24 * (comb(4, 2) // 2) ** 4 == 1944
     rng = random.Random(12)
     for q in (2, 4):
@@ -681,6 +691,26 @@ def test_cycle_pair_recognizer_matches_lift_orbit():
             flipped = TwoPartition(params, cell ^ 1 << rng.randrange(params.vertex_count))
             assert search._match_cycle_pair_lifting(flipped) is None, (q, cell)
             assert search._match_switching(flipped) is None, (q, cell)
+
+
+def test_reduced_lambda2_cells_are_the_predicted_orbits():
+    """The theorem by counting.  For n >= 4 every reduced lambda_2
+    partition is, up to isomorphism, a lifted cycle pair (n = 4, q even) or
+    a permutation switching (q >= 2(n - 1)), so the reduced lambda_2 cells
+    are the union of the orbits of the constructions' outputs.  No graph
+    here has a switching output, so the cells are the orbit of
+    lifted_cycle_pair on H(4, 2) and H(4, 4) and there are none on the
+    others.  The orbits come from the breadth-first closure through
+    transform.  On H(4, 4) the reduced filter runs on the cells that
+    test_sorted_output_is_pinned found, with no second search."""
+    reduced_only = EnumConstraints(eigenvalue_index=2, reduced_only=True)
+    for n, q in ((4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (7, 2), (8, 2)):
+        found = backtracking_enumerate(GraphParams(n, q), reduced_only)
+        predicted = _lift_orbit(q) if n == 4 and q % 2 == 0 else set()
+        assert {p.cell for p in found} == predicted, (n, q)
+    h44 = GraphParams(4, 4)
+    reduced = search._filtered(h44, list(_pinned_cells(4, 4, 2, 2)), reduced_only)
+    assert set(reduced) == _lift_orbit(4) and len(reduced) == 1944
 
 
 def test_ternary_census_counts():
