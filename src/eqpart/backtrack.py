@@ -1,10 +1,12 @@
-"""The backtracking route of search.backtracking_cells.
+"""The backtracking route of search.backtracking_enumerate.
 
 Vertices are assigned in index order.  Each vertex that an echelon row of
 (A - lam I) x = s21 * 1 determines is forced, the others branch 0/1, and
 neighbor counts prune.  Root conditions keep only the cells that meet
-them, at least one in each orbit of the stabilizer of vertex 0, and
-search_cells closes the cells found under it (search._orbit_closure).
+them, at least one in each orbit of the stabilizer of vertex 0
+(lex-leader predicates, Crawford, Ginsberg, Luks and Roy 1996), and
+search_cells closes the cells found under it (partitions.orbit_closure),
+as canonical augmentation recovers orbits (McKay 1998).
 The search is split into shards at the live states it reaches at a
 fixed vertex, and the shards run in forked worker processes or in this
 process.
@@ -22,8 +24,7 @@ from math import gcd
 from typing import Any, Callable, Optional, Sequence
 
 from .hamming import GraphParams, neighbor_table
-from .partitions import QuotientMatrix, predicted_cell_size
-from .search import _orbit_closure
+from .partitions import QuotientMatrix, orbit_closure, predicted_cell_size
 
 _SHARD_DEPTH = 10               # shards are the live states at this vertex
 _Rows = tuple[tuple[int, ...], ...]     # the rows of a QuotientMatrix
@@ -291,7 +292,7 @@ def search_cells(params: GraphParams, kept: list[_Rows], threads: int) -> list[i
     generators of Stab(0), the adjacent coordinate transpositions and on
     coordinate 1 the symbol maps (1 2) and (1 2 ... q-1), is every such
     cell.  The closure runs in this process, on the cells as ints
-    (search._orbit_closure).  The shards run by run_shards.
+    (partitions.orbit_closure).  The shards run by run_shards.
 
     Each row set's sorted closure is one ascending run of the output, and
     the complements of that closure, reversed, are another.  The runs are
@@ -305,7 +306,7 @@ def search_cells(params: GraphParams, kept: list[_Rows], threads: int) -> list[i
     found: dict[_Rows, list[int]] = {rows: [] for rows in searched}
     for (_, rows, _, _), cells_found in zip(shards, run_shards(shards, threads)):
         found[rows] += cells_found
-    close = _orbit_closure(params, 1)
+    close = orbit_closure(params, 1)
     full = (1 << params.vertex_count) - 1
     cells: list[int] = []
     for rows, seeds in found.items():

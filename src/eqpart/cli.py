@@ -18,13 +18,13 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 # search first: its compile, the largest, runs before the rest load (lower peak RSS)
 from .search import (
     EnumConstraints,
     Unclassified,
-    backtracking_cells,
+    backtracking_enumerate,
     brute_force_enumerate,
     candidate_quotient_matrices,
     classify_reduced_lambda2,
@@ -78,15 +78,25 @@ def _read_doc(path: str) -> Any:
     return load_json(text)
 
 
-def _construction_result(p: TwoPartition) -> dict[str, Any]:
+def _print_construction(build: Callable[[], TwoPartition], **extra: Any) -> int:
+    """Print the certificate of the partition build() returns, with the
+    extra fields, and exit 0; or print {"error": ...} and exit 1 when build
+    refuses its input with a ValueError."""
+    try:
+        p = build()
+    except ValueError as exc:
+        _print_json({"error": str(exc)})
+        return 1
     s = equitable_check(p)
     assert isinstance(s, QuotientMatrix)
-    return {
+    _print_json({
         "partition": to_json(p),
         "quotient": to_json(s.rows),
         "eigenvalue_index": max(quotient_eigenvalue_indices(s, p.params)),
         "essential_coordinates": to_json(essential_coordinates(p)),
-    }
+        **extra,
+    })
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -139,15 +149,8 @@ def _cmd_construct_a(args: argparse.Namespace) -> int:
         raise DocumentError(f"invalid --blocks: {exc}") from None
     guarded_params(len(blocks.blocks) + 1, blocks.q)
     base = partition_from_doc(_read_doc(args.base))
-    try:
-        switched = permutation_switching(blocks, base)
-    except ValueError as exc:
-        _print_json({"error": str(exc)})
-        return 1
-    result = _construction_result(switched)
-    result["blocks"] = to_json(blocks)
-    _print_json(result)
-    return 0
+    return _print_construction(lambda: permutation_switching(blocks, base),
+                               blocks=to_json(blocks))
 
 
 def _cmd_construct_b(args: argparse.Namespace) -> int:
@@ -163,15 +166,8 @@ def _cmd_construct_b(args: argparse.Namespace) -> int:
     cycle_pair = None
     if args.cycle_pair is not None:
         cycle_pair = partition_from_doc(_read_doc(args.cycle_pair))
-    try:
-        lifted = lifted_cycle_pair(q, split, cycle_pair)
-    except ValueError as exc:
-        _print_json({"error": str(exc)})
-        return 1
-    result = _construction_result(lifted)
-    result["split"] = to_json(split)
-    _print_json(result)
-    return 0
+    return _print_construction(lambda: lifted_cycle_pair(q, split, cycle_pair),
+                               split=to_json(split))
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
@@ -181,20 +177,11 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         raise DocumentError(f"invalid --blocks: {exc}") from None
     p = partition_from_doc(_read_doc(args.input))
     guarded_params(p.params.n, blocks.q)
-    try:
-        lifted = lift_two_partition(p, blocks)
-    except ValueError as exc:
-        _print_json({"error": str(exc)})
-        return 1
-    result = _construction_result(lifted)
-    result["blocks"] = to_json(blocks)
-    _print_json(result)
-    return 0
+    return _print_construction(lambda: lift_two_partition(p, blocks), blocks=to_json(blocks))
 
 
 def _cmd_eight_cycle(args: argparse.Namespace) -> int:
-    _print_json(_construction_result(eight_cycle_partition()))
-    return 0
+    return _print_construction(eight_cycle_partition)
 
 
 def _cmd_classify_fn(args: argparse.Namespace) -> int:
@@ -251,9 +238,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
         if args.brute_force:
-            cells = [p.cell for p in brute_force_enumerate(params, constraints)]
+            cells = brute_force_enumerate(params, constraints)
         else:
-            cells = backtracking_cells(params, constraints, threads=args.threads)
+            cells = backtracking_enumerate(params, constraints, threads=args.threads)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     for i in range(0, len(cells), 256):     # few writes, few lines held at once

@@ -4,7 +4,9 @@ A 2-partition (C, complement) is equitable when every vertex of cell i has
 a number of neighbors in cell j depending only on (i, j); those counts form
 the 2x2 quotient matrix S.  The cell order is (C, complement), so S[0][0]
 counts neighbors inside C of a C vertex.  All checks run on exact
-integers; rationals use fractions.Fraction.
+integers; rationals use fractions.Fraction.  Automorphisms act on cells
+here: transform moves a partition by one automorphism, and orbit_closure
+closes a set of cells under generators of the group.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .hamming import (
     Automorphism,
@@ -332,3 +334,46 @@ def transform(p: TwoPartition, g: Automorphism) -> TwoPartition:
             back[y] = x * q ** (n - j)
         terms.append(back)
     return pull(p, params, digit_table(params, terms))
+
+
+def orbit_closure(params: GraphParams, lo: int) -> Callable[[list[int]], set[int]]:
+    """The map from a list of cells to the cells reached from them by the
+    adjacent coordinate transpositions and, on coordinate 1, the
+    transposition and the cycle of the symbols lo..q-1: their orbits under
+    the whole group for lo = 0, and under the stabilizer of vertex 0 for
+    lo = 1.
+
+    Each generator adds one offset to the index of every vertex in a block
+    of digit_masks fibers, so the image of a cell is an OR of masked
+    shifts.  The transposition of coordinates k and k + 1 moves the block
+    x_k = a, x_(k+1) = b by d (q^(n-k) - q^(n-k-1)) with d = b - a: 2q - 1
+    masks, one per d.  A symbol map alpha on coordinate 1 moves the fiber
+    x_1 = a by (alpha(a) - a) q^(n-1).  No offset is below -base, so each
+    masked part is shifted up by its offset plus base, and the OR down by
+    base.
+    """
+    n, q = params.n, params.q
+    fibers, base = digit_masks(params), (q - 1) * q ** (n - 1)
+    ident = tuple(range(q))
+    fixed, moved = ident[:lo], ident[lo:]
+    swap, cycle = fixed + moved[1:2] + moved[:1] + moved[2:], fixed + moved[1:] + moved[:1]
+    gens = [[(sum(x & fibers[k][a + d] for a, x in enumerate(fibers[k - 1]) if 0 <= a + d < q),
+              base + d * (q ** (n - k) - q ** (n - k - 1))) for d in range(1 - q, q)]
+            for k in range(1, n)]
+    gens += [[(x, base + (alpha[a] - a) * q ** (n - 1)) for a, x in enumerate(fibers[0])]
+             for alpha in dict.fromkeys((swap, cycle)) if alpha != ident]
+
+    def close(seeds: list[int]) -> set[int]:
+        closed, todo = set(seeds), list(seeds)
+        for cell in todo:       # todo grows while it is read
+            for gen in gens:
+                image = 0
+                for mask, shift in gen:
+                    image |= (cell & mask) << shift
+                image >>= base
+                if image not in closed:
+                    closed.add(image)
+                    todo.append(image)
+        return closed
+
+    return close

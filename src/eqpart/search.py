@@ -1,31 +1,19 @@
 """Exhaustive search over 2-partitions and ternary functions of H(n, q).
 
 Two independent enumeration routes are kept deliberately separate so they
-can certify each other: a plain sweep over all cell bitsets (desk scale
-only) and a backtracking search driven by candidate quotient matrices.
-The backtracking search (module backtrack) branches only on the free
-vertices of an echelon form of (A - lam I) x = s21 * 1, which every cell
-with second quotient eigenvalue lam satisfies, and takes every other
-vertex from its row.  A cell with quotient [[a, b], [c, d]] has a
-complement with quotient [[d, c], [b, a]], so each candidate and this
-partner are searched only over the cells that hold vertex 0, and every
-other cell is the complement of one found.  Root conditions break the
-symmetry of the stabilizer of vertex 0 (lex-leader predicates, Crawford,
-Ginsberg, Luks and Roy 1996), and the cells found are closed under its
-generators afterwards (as in canonical augmentation, McKay 1998).  The
-search is sharded at the states it reaches at a fixed vertex; shards can
-run in forked worker processes, and the output is identical for any
-thread count.  Cells stay ints from the shards to the sorted output of
-backtracking_cells, which the enumerate command prints from.
+can certify each other: brute_force_enumerate, a plain sweep over all cell
+bitsets (desk scale only), and backtracking_enumerate, a backtracking
+search driven by candidate quotient matrices (module backtrack).  Both
+return the sorted cell bitsets as ints, which the enumerate command
+prints from.
 
 The up-to-iso filter keeps the least cell of each orbit of the group of
 coordinate and symbol permutations: the enumerated set is closed under
 that group, so the closure of each cell under the group's generators,
-the same closure by masked shifts that completes the search, is its
-orbit.  Complement swaps are not quotiented out: (C, complement) and
-(complement, C) are distinct.  The classification walks no group: it
-reads a construction's parameters off the slices of a partition and
-rebuilds the partition from them.
+partitions.orbit_closure, is its orbit.  Complement swaps are not
+quotiented out: (C, complement) and (complement, C) are distinct.  The
+classification walks no group: it reads a construction's parameters off
+the slices of a partition and rebuilds the partition from them.
 
 The ternary census classifies only the functions in the span of the top
 two eigenspaces, which a meet-in-the-middle join over the linear
@@ -36,7 +24,7 @@ from __future__ import annotations
 
 import warnings
 from math import comb
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .constructions import (
     AlphabetBlocks,
@@ -66,6 +54,7 @@ from .partitions import (
     TwoPartition,
     equitable_check,
     essential_coordinates,
+    orbit_closure,
     predicted_cell_size,
     pull,
     transform,
@@ -176,10 +165,10 @@ def _satisfies(params, s_tuple, constraints) -> bool:
     return s_tuple[0] - s_tuple[2] == eigenvalue(params, constraints.eigenvalue_index)
 
 
-def brute_force_enumerate(params: GraphParams, constraints: EnumConstraints) -> list[TwoPartition]:
+def brute_force_enumerate(params: GraphParams, constraints: EnumConstraints) -> list[int]:
     """Sweep all 2^(q^n) - 2 proper cells; keep the equitable ones that
-    satisfy the constraints.  Guarded to q^n <= 25.  Output is sorted by
-    cell bitset."""
+    satisfy the constraints.  Guarded to q^n <= 25.  Output is the sorted
+    cell bitsets."""
     n_vertices = params.vertex_count
     if n_vertices > BRUTE_FORCE_LIMIT:
         raise ValueError(
@@ -191,7 +180,7 @@ def brute_force_enumerate(params: GraphParams, constraints: EnumConstraints) -> 
     cells = [cell for cell in range(1, (1 << n_vertices) - 1)
              if (s := _fast_two_quotient(masks, cell, params.degree)) is not None
              and _satisfies(params, s, constraints)]
-    return [TwoPartition(params, c) for c in _filtered(params, cells, constraints)]
+    return _filtered(params, cells, constraints)
 
 
 def _filtered(params: GraphParams, cells: list[int], constraints: EnumConstraints) -> list[int]:
@@ -206,7 +195,7 @@ def _filtered(params: GraphParams, cells: list[int], constraints: EnumConstraint
 # --- backtracking route -----------------------------------------------------
 
 
-def backtracking_cells(
+def backtracking_enumerate(
     params: GraphParams, constraints: EnumConstraints, threads: int = 1
 ) -> list[int]:
     """The sorted cell bitsets of the equitable 2-partitions matching a
@@ -214,7 +203,8 @@ def backtracking_cells(
     search of module backtrack (imported here, so that commands that never
     search do not compile it) on min(threads, os.cpu_count(), shard count)
     forked worker processes; see backtrack.search_cells.  Output is
-    identical for every thread count.  Guarded by
+    identical for every thread count, and agrees with brute_force_enumerate
+    wherever both are allowed to run.  Guarded by
     candidate_quotient_matrices.
     """
     from . import backtrack
@@ -223,69 +213,18 @@ def backtracking_cells(
     return _filtered(params, backtrack.search_cells(params, kept, threads), constraints)
 
 
-def backtracking_enumerate(
-    params: GraphParams, constraints: EnumConstraints, threads: int = 1
-) -> list[TwoPartition]:
-    """The partitions of backtracking_cells, sorted by cell bitset.  They
-    agree with brute_force_enumerate wherever both are allowed to run."""
-    return [TwoPartition(params, c) for c in backtracking_cells(params, constraints, threads)]
-
-
-# --- orbits: closure and minima ---------------------------------------------
-
-
-def _orbit_closure(params: GraphParams, lo: int) -> Callable[[list[int]], set[int]]:
-    """The map from a list of cells to the cells reached from them by the
-    adjacent coordinate transpositions and, on coordinate 1, the
-    transposition and the cycle of the symbols lo..q-1: their orbits under
-    the whole group for lo = 0, and under the stabilizer of vertex 0 for
-    lo = 1.
-
-    Each generator adds one offset to the index of every vertex in a block
-    of digit_masks fibers, so the image of a cell is an OR of masked
-    shifts.  The transposition of coordinates k and k + 1 moves the block
-    x_k = a, x_(k+1) = b by d (q^(n-k) - q^(n-k-1)) with d = b - a: 2q - 1
-    masks, one per d.  A symbol map alpha on coordinate 1 moves the fiber
-    x_1 = a by (alpha(a) - a) q^(n-1).  No offset is below -base, so each
-    masked part is shifted up by its offset plus base, and the OR down by
-    base.
-    """
-    n, q = params.n, params.q
-    fibers, base = digit_masks(params), (q - 1) * q ** (n - 1)
-    ident = tuple(range(q))
-    fixed, moved = ident[:lo], ident[lo:]
-    swap, cycle = fixed + moved[1:2] + moved[:1] + moved[2:], fixed + moved[1:] + moved[:1]
-    gens = [[(sum(x & fibers[k][a + d] for a, x in enumerate(fibers[k - 1]) if 0 <= a + d < q),
-              base + d * (q ** (n - k) - q ** (n - k - 1))) for d in range(1 - q, q)]
-            for k in range(1, n)]
-    gens += [[(x, base + (alpha[a] - a) * q ** (n - 1)) for a, x in enumerate(fibers[0])]
-             for alpha in dict.fromkeys((swap, cycle)) if alpha != ident]
-
-    def close(seeds: list[int]) -> set[int]:
-        closed, todo = set(seeds), list(seeds)
-        for cell in todo:       # todo grows while it is read
-            for gen in gens:
-                image = 0
-                for mask, shift in gen:
-                    image |= (cell & mask) << shift
-                image >>= base
-                if image not in closed:
-                    closed.add(image)
-                    todo.append(image)
-        return closed
-
-    return close
+# --- orbit minima ------------------------------------------------------------
 
 
 def _orbit_minima(params: GraphParams, cells: list[int]) -> list[int]:
     """The cells that are the least of their orbit under the graph
     automorphisms, in the order of cells.
 
-    cells is a set the group maps into itself, so the _orbit_closure of
+    cells is a set the group maps into itself, so the orbit_closure of
     each cell is its orbit.  An orbit that leaves cells raises
     AssertionError: the search lost part of it.
     """
-    close = _orbit_closure(params, 0)
+    close = orbit_closure(params, 0)
     members, least = set(cells), {}
     for cell in cells:
         if cell not in least:

@@ -4,7 +4,7 @@ The package never takes a vertex apart digit by digit: it reaches the
 digits through hamming's tables and masks, and it moves a partition by an
 automorphism with partitions.transform.  These helpers do both one vertex
 at a time, so that the tests can check digit_table, digit_masks,
-transform and search._orbit_closure against them.
+transform and partitions.orbit_closure against them.
 """
 
 from eqpart.hamming import Automorphism, GraphParams, encode_vertex

@@ -186,9 +186,8 @@ def test_criterion_04_restriction_laws_on_random_partitions():
         pools = []
         for n, q in ((3, 2), (3, 3)):
             params = GraphParams(n, q)
-            pools.append(
-                (params, backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2)))
-            )
+            cells = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2))
+            pools.append((params, [TwoPartition(params, cell) for cell in cells]))
         checked = 0
         for params, pool in pools:
             sub = GraphParams(params.n - 1, params.q)
@@ -215,13 +214,10 @@ def test_criterion_04_restriction_laws_on_random_partitions():
 
 def suite_partitions():
     """Every equitable partition the rest of the suite produces."""
-    parts = []
-    for n, q in ROUTE_GRAPHS:
-        params = GraphParams(n, q)
-        for i in range(n + 1):
-            parts.extend(backtracking_enumerate(params, EnumConstraints(eigenvalue_index=i)))
-    parts.extend(backtracking_enumerate(GraphParams(4, 2), EnumConstraints(eigenvalue_index=2)))
-    parts.extend(backtracking_enumerate(GraphParams(3, 3), EnumConstraints(eigenvalue_index=2)))
+    searches = [(GraphParams(n, q), i) for n, q in ROUTE_GRAPHS for i in range(n + 1)]
+    searches += [(GraphParams(4, 2), 2), (GraphParams(3, 3), 2)]
+    parts = [TwoPartition(params, cell) for params, i in searches
+             for cell in backtracking_enumerate(params, EnumConstraints(eigenvalue_index=i))]
     base = parity_base()
     parts.append(eight_cycle_partition())
     parts.append(permutation_switching(AlphabetBlocks(HALF_BLOCKS), base))
@@ -297,13 +293,13 @@ def test_criterion_09_reduced_enumeration_fully_classified():
     with report(9, "reduced second-eigenvalue partitions all classified", budget=60.0):
         params = GraphParams(4, 2)
         constraints = EnumConstraints(eigenvalue_index=2, reduced_only=True)
-        oracle = brute_force_enumerate(params, constraints)
         found = backtracking_enumerate(params, constraints)
-        assert [p.cell for p in found] == [p.cell for p in oracle]
+        assert found == brute_force_enumerate(params, constraints)
         assert len(found) == 24
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for p in found:
+            for cell in found:
+                p = TwoPartition(params, cell)
                 tag = classify_reduced_lambda2(p)
                 assert isinstance(tag, CyclePairLifting)
                 assert is_induced_cycle(params, p.vertices()) == 8
@@ -316,9 +312,8 @@ def test_criterion_10_enumeration_routes_agree():
             params = GraphParams(n, q)
             for i in range(n + 1):
                 constraints = EnumConstraints(eigenvalue_index=i)
-                brute = {p.cell for p in brute_force_enumerate(params, constraints)}
-                back = {p.cell for p in backtracking_enumerate(params, constraints)}
-                assert brute == back
+                brute = brute_force_enumerate(params, constraints)
+                assert set(brute) == set(backtracking_enumerate(params, constraints))
 
 
 def test_criterion_11_thread_count_does_not_change_output():

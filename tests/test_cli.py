@@ -288,7 +288,7 @@ def test_enumerate_routes_refuse_the_same_quotients():
 
 def test_enumerate_refuses_a_cell_of_no_candidate_size(monkeypatch):
     """A cell whose size is no candidate's means the search is at fault."""
-    monkeypatch.setattr("eqpart.cli.backtracking_cells", lambda params, constraints, threads: [1])
+    monkeypatch.setattr("eqpart.cli.backtracking_enumerate", lambda params, constraints, threads: [1])
     with pytest.raises(AssertionError, match="no candidate quotient"):
         run(["enumerate", "--n", "2", "--q", "2", "--eig-index", "2"])
 
@@ -351,7 +351,7 @@ def test_classify_t5(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("classify-t5 ran a search")
 
-    monkeypatch.setattr(eqpart.search, "backtracking_cells", refuse)
+    monkeypatch.setattr(eqpart.search, "backtracking_enumerate", refuse)
     for path, split in ((write_doc(tmp_path, "p.json", EIGHT), [0]), (lift, [0, 1])):
         code, out, err = run(["classify-t5", path])
         assert (code, err) == (0, "")

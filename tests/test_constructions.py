@@ -162,7 +162,9 @@ def test_permutation_switching_matches_vertex_oracle():
     two symbols refuses every base of H(2, 5)."""
     switched = 0
     for q in (4, 5):
-        bases = backtracking_enumerate(GraphParams(2, q), EnumConstraints(eigenvalue_index=2))
+        h2q = GraphParams(2, q)
+        bases = [TwoPartition(h2q, cell)
+                 for cell in backtracking_enumerate(h2q, EnumConstraints(eigenvalue_index=2))]
         for parts in range(1, q + 1):
             for blocks in _ordered_alphabet_blocks(q, parts):
                 if q == 5 and min(map(len, blocks.blocks)) < 2:

@@ -1,5 +1,6 @@
-"""Each module imports on its own, in a fresh interpreter, and every
-public name of the package has a caller.
+"""Each module imports on its own, in a fresh interpreter, every public
+name of the package has a caller, and the imports between the modules
+form no cycle and take no private name.
 
 In one test process every module is already loaded by the time a test
 runs, which hides an import cycle that only shows when a module is the
@@ -123,3 +124,54 @@ def test_every_public_name_has_a_caller():
                 read |= _reads(tree, node)
     unread = [name for name in defined if name.partition(".")[2] not in read]
     assert not unread, unread
+
+
+def _package_imports(tree):
+    """(module, name) for each name that an import anywhere in tree, at
+    module level or inside a function, takes from a package module; name
+    is None for a plain import of the module itself.  from . import m
+    names the module m."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = node.module
+            elif (node.module or "").startswith("eqpart."):
+                base = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                found.append((base, alias.name) if base else (alias.name, None))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name.partition(".")[2], None) for alias in node.names
+                      if alias.name.startswith("eqpart.")]
+    return found
+
+
+def test_import_graph_has_no_cycle_and_no_private_name():
+    """No package module imports an underscore name from another, and the
+    graph of the imports between package modules, those inside functions
+    included, has no cycle: each pair of modules depends in one direction
+    at most."""
+    graph, private = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports = _package_imports(ast.parse(path.read_text()))
+        graph[path.stem] = sorted({module for module, _ in imports})
+        private += [f"{path.stem} -> {module}.{name}" for module, name in imports
+                    if name and name.startswith("_")]
+    assert not private, private
+    state = {}      # module -> "open" while on the walk's path, then "done"
+
+    def walk(module, path):
+        state[module] = "open"
+        for target in graph.get(module, ()):
+            if state.get(target) == "open":
+                cycle = path[path.index(target):] + [target]
+                raise AssertionError("import cycle: " + " -> ".join(cycle))
+            if target not in state:
+                walk(target, path + [target])
+        state[module] = "done"
+
+    for module in graph:
+        if module not in state:
+            walk(module, [module])

@@ -275,7 +275,9 @@ def _kernel_inputs():
     bases = [PAIR, extend(PAIR, 3), pair, extend(pair, 4), extend(pair, 12),
              lifted_cycle_pair(4, (1, 2)), lifted_cycle_pair(6, (0, 2, 5)),
              TwoPartition.from_vertices(GraphParams(1, 5), [3])]
-    bases += rng.sample(backtracking_enumerate(GraphParams(3, 3), EnumConstraints(eigenvalue_index=1)), 3)
+    h33 = GraphParams(3, 3)
+    cells = backtracking_enumerate(h33, EnumConstraints(eigenvalue_index=1))
+    bases += [TwoPartition(h33, cell) for cell in rng.sample(cells, 3)]
     bases += [transform(p, random_automorphism(p.params, rng))
               for p in (extend(PAIR, 3), extend(pair, 4), extend(pair, 8), *bases[5:7])]
     for p in bases:

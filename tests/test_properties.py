@@ -67,8 +67,7 @@ ENUMERATIONS = [(params, i) for params in SMALL_GRAPHS for i in range(params.n +
 
 @lru_cache(maxsize=None)
 def _labelled_cells(params, index):
-    found = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=index))
-    return frozenset(p.cell for p in found)
+    return frozenset(backtracking_enumerate(params, EnumConstraints(eigenvalue_index=index)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -31,6 +31,7 @@ from eqpart.partitions import (
     TwoPartition,
     equitable_check,
     extend,
+    orbit_closure,
     transform,
 )
 from eqpart.search import (
@@ -85,10 +86,9 @@ def test_candidate_quotient_matrices():
 def test_brute_force_known_counts():
     assert brute_force_enumerate(H22, EnumConstraints(eigenvalue_index=0)) == []
     assert len(brute_force_enumerate(H22, EnumConstraints(eigenvalue_index=1))) == 4
-    idx2 = brute_force_enumerate(H22, EnumConstraints(eigenvalue_index=2))
-    assert [p.cell for p in idx2] == [6, 9]
+    assert brute_force_enumerate(H22, EnumConstraints(eigenvalue_index=2)) == [6, 9]
     pairs = brute_force_enumerate(H32, EnumConstraints(quotient=QuotientMatrix(((0, 3), (1, 2)))))
-    assert [p.cell for p in pairs] == [24, 36, 66, 129]
+    assert pairs == [24, 36, 66, 129]
     assert len(brute_force_enumerate(H32, EnumConstraints(eigenvalue_index=2))) == 14
 
 
@@ -108,14 +108,12 @@ def test_backtracking_matches_brute_force():
     for params in (H22, GraphParams(2, 3), H32):
         for i in range(params.n + 1):
             c = EnumConstraints(eigenvalue_index=i)
-            assert [p.cell for p in backtracking_enumerate(params, c)] == [
-                p.cell for p in brute_force_enumerate(params, c)
-            ]
+            assert backtracking_enumerate(params, c) == brute_force_enumerate(params, c)
 
 
 def test_backtracking_explicit_quotient():
     c = EnumConstraints(quotient=QuotientMatrix(((0, 3), (1, 2))))
-    assert [p.cell for p in backtracking_enumerate(H32, c)] == [24, 36, 66, 129]
+    assert backtracking_enumerate(H32, c) == [24, 36, 66, 129]
     # non-integral predicted size gives an empty result
     c = EnumConstraints(quotient=QuotientMatrix(((1, 2), (1, 2))))
     assert backtracking_enumerate(H32, c) == []
@@ -134,21 +132,18 @@ def test_backtracking_explicit_candidates_match_brute_force():
                 (a, b), (c, d) = s.rows
                 self_paired += (a, b) == (d, c)
                 explicit = EnumConstraints(quotient=s)
-                assert [p.cell for p in backtracking_enumerate(params, explicit)] == [
-                    p.cell for p in brute_force_enumerate(params, explicit)
-                ], (params, s.rows)
+                assert backtracking_enumerate(params, explicit) == brute_force_enumerate(
+                    params, explicit), (params, s.rows)
     assert self_paired
 
 
 def test_backtracking_threads_do_not_change_output():
     c = EnumConstraints(eigenvalue_index=2)
-    single = [p.cell for p in backtracking_enumerate(H32, c, threads=1)]
-    double = [p.cell for p in backtracking_enumerate(H32, c, threads=2)]
-    assert single == double
+    assert backtracking_enumerate(H32, c, threads=1) == backtracking_enumerate(H32, c, threads=2)
     # H(3, 3) has more live shards than workers, so these fork real workers
     params = GraphParams(3, 3)
     assert len(backtrack.live_shards(params, searched_rows(params, c))) > 8
-    runs = [[p.cell for p in backtracking_enumerate(params, c, threads=t)] for t in (1, 2, 8)]
+    runs = [backtracking_enumerate(params, c, threads=t) for t in (1, 2, 8)]
     assert len(runs[0]) == 180
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
@@ -187,30 +182,30 @@ def test_worker_processes_are_capped(monkeypatch):
     def shard_count(params):
         return len(backtrack.live_shards(params, searched_rows(params, c)))
 
-    expected = [p.cell for p in backtracking_enumerate(H42, c)]
+    expected = backtracking_enumerate(H42, c)
     assert forks == []
     shards = shard_count(H42)
     assert 5 < shards < 1000
     monkeypatch.setattr(backtrack.os, "cpu_count", lambda: 3)
     # three candidate quotient matrices share one fork, capped by the CPUs
-    assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
+    assert backtracking_enumerate(H42, c, threads=100000) == expected
     assert forks == [3]
     monkeypatch.setattr(backtrack.os, "cpu_count", lambda: 1000)
     # capped by the threads, then by the shards
-    assert [p.cell for p in backtracking_enumerate(H42, c, threads=5)] == expected
-    assert [p.cell for p in backtracking_enumerate(H42, c, threads=100000)] == expected
+    assert backtracking_enumerate(H42, c, threads=5) == expected
+    assert backtracking_enumerate(H42, c, threads=100000) == expected
     assert forks == [3, 5, shards]
     # H(2, 2) has one candidate matrix, [[0, 2], [2, 0]]; it is self-paired,
     # so only the cells with vertex 0 in C are searched: one live shard and
     # no fork
     assert shard_count(H22) == 1
-    assert [p.cell for p in backtracking_enumerate(H22, c, threads=100000)] == [6, 9]
+    assert backtracking_enumerate(H22, c, threads=100000) == [6, 9]
     monkeypatch.setattr(backtrack.os, "cpu_count", lambda: None)
     backtracking_enumerate(H42, c, threads=100000)
     assert forks == [3, 5, shards]
     monkeypatch.setattr(backtrack.os, "cpu_count", lambda: 1000)
     monkeypatch.delattr(backtrack.os, "fork")
-    assert [p.cell for p in backtracking_enumerate(H42, c, threads=5)] == expected
+    assert backtracking_enumerate(H42, c, threads=5) == expected
     assert forks == [3, 5, shards]
 
 
@@ -256,9 +251,8 @@ PIN_THREADS = {(3, 4): (1, 2, 8), (4, 4): (2,)}
 def _pinned_cells(n, q, index, threads):
     """The sorted cells of one pin.  The last search is kept, so the
     theorem test reuses the H(4, 4) one rather than search again."""
-    found = backtracking_enumerate(
-        GraphParams(n, q), EnumConstraints(eigenvalue_index=index), threads=threads)
-    return tuple(p.cell for p in found)
+    return tuple(backtracking_enumerate(
+        GraphParams(n, q), EnumConstraints(eigenvalue_index=index), threads=threads))
 
 
 def test_sorted_output_is_pinned():
@@ -326,7 +320,7 @@ def test_root_closure_matches_brute_force():
                 roots = [cell for x in shards for cell in backtrack._search_shard(x)]
                 assert all(cell & 1 and _meets_root_conditions(params, cell) for cell in roots)
                 exact = EnumConstraints(quotient=QuotientMatrix(rows))
-                expected = {p.cell for p in brute_force_enumerate(params, exact) if p.cell & 1}
+                expected = {cell for cell in brute_force_enumerate(params, exact) if cell & 1}
                 assert _stabilizer_closure(params, roots) == expected, (params, i, rows)
                 checked += len(expected) > len(roots)
     assert checked
@@ -339,7 +333,7 @@ def _cell_of(params, test):
 
 
 def test_orbit_closure_matches_transform_closure():
-    """search._orbit_closure, by masked shifts, reaches from each seed the
+    """orbit_closure, by masked shifts, reaches from each seed the
     cells that a breadth-first search through transform reaches, under the
     whole group (lo = 0) and under the stabilizer of vertex 0 (lo = 1):
     from a cell of each orbit of the equitable cells and from a random cell
@@ -348,8 +342,8 @@ def test_orbit_closure_matches_transform_closure():
     rng = random.Random(5)
     seeds = {}
     for params in (*ROUTE_GRAPHS, GraphParams(1, 5)):
-        cells = [p.cell for i in range(params.n + 1)
-                 for p in backtracking_enumerate(params, EnumConstraints(eigenvalue_index=i))]
+        cells = [cell for i in range(params.n + 1)
+                 for cell in backtracking_enumerate(params, EnumConstraints(eigenvalue_index=i))]
         seeds[params] = cells + [rng.randrange(1, (1 << params.vertex_count) - 1)]
     h26, h44 = GraphParams(2, 6), GraphParams(4, 4)
     seeds[h26] = [_cell_of(h26, lambda x: x[0] < 2),
@@ -360,7 +354,7 @@ def test_orbit_closure_matches_transform_closure():
                   _cell_of(h44, lambda x: x[1] == 0 and x[3] != 2)]
     for params, cells in seeds.items():
         for lo in (0, 1):
-            close, reached = search._orbit_closure(params, lo), set()
+            close, reached = orbit_closure(params, lo), set()
             for cell in cells:
                 if cell not in reached:     # one seed per orbit
                     orbit = _stabilizer_closure(params, [cell], lo)
@@ -401,7 +395,7 @@ def test_index1_output_is_guarded():
             candidate_quotient_matrices(GraphParams(n, q), index1)
     h140 = GraphParams(1, 40)
     one = EnumConstraints(quotient=QuotientMatrix(((0, 39), (1, 38))))
-    assert [p.cell for p in backtracking_enumerate(h140, one)] == [1 << v for v in range(40)]
+    assert backtracking_enumerate(h140, one) == [1 << v for v in range(40)]
     with pytest.raises(ValueError, match=f"got {comb(40, 20)}"):
         candidate_quotient_matrices(h140, EnumConstraints(quotient=QuotientMatrix(((19, 20), (20, 19)))))
 
@@ -425,14 +419,14 @@ def test_forced_rows_hold_on_equitable_cells():
     for params in ROUTE_GRAPHS:
         for i in range(params.n + 1):
             c = EnumConstraints(eigenvalue_index=i)
-            for p in brute_force_enumerate(params, c):
-                (s11, _), (s21, _) = equitable_check(p).rows
+            for cell in brute_force_enumerate(params, c):
+                (s11, _), (s21, _) = equitable_check(TwoPartition(params, cell)).rows
                 for v, row in enumerate(backtrack._forced_table(params, s11 - s21)):
                     if row is None:
                         continue
                     d, beta, terms = row
-                    total = sum(g * (p.cell & mask).bit_count() for g, mask in terms)
-                    assert d * ((p.cell >> v) & 1) == s21 * beta - total, (params, i, p.cell, v)
+                    total = sum(g * (cell & mask).bit_count() for g, mask in terms)
+                    assert d * ((cell >> v) & 1) == s21 * beta - total, (params, i, cell, v)
                     checked += 1
     assert checked > 1000
 
@@ -451,9 +445,10 @@ def test_non_eigenvalue_quotient_forces_every_vertex():
 
 def test_h34_index2_counts():
     """The H(3, 4) index-2 count, 26,766, by quotient matrix."""
-    found = backtracking_enumerate(GraphParams(3, 4), EnumConstraints(eigenvalue_index=2))
+    params = GraphParams(3, 4)
+    found = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2))
     assert len(found) == 26766
-    by_rows = Counter(equitable_check(p).rows for p in found)
+    by_rows = Counter(equitable_check(TwoPartition(params, cell)).rows for cell in found)
     assert by_rows == {
         ((3, 6), (2, 7)): 180,
         ((4, 5), (3, 6)): 6912,
@@ -474,18 +469,19 @@ def test_backtracking_does_not_recurse():
         found = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=8))
     finally:
         sys.setrecursionlimit(limit)
-    assert [p.cell for p in found] == sorted([even, even ^ ((1 << 256) - 1)])
+    assert found == sorted([even, even ^ ((1 << 256) - 1)])
 
 
 def test_reduced_only_filter():
     everything = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2))
     assert len(everything) == 68
-    assert {p.size for p in everything} == {4, 8, 12}
+    assert set(map(int.bit_count, everything)) == {4, 8, 12}
     reduced = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2, reduced_only=True))
     assert len(reduced) == 24
     # with every coordinate essential only the balanced quotient survives
-    assert {p.size for p in reduced} == {8}
-    assert all(equitable_check(p) == QuotientMatrix(((2, 2), (2, 2))) for p in reduced)
+    assert set(map(int.bit_count, reduced)) == {8}
+    assert all(equitable_check(TwoPartition(H42, cell)) == QuotientMatrix(((2, 2), (2, 2)))
+               for cell in reduced)
 
 
 @lru_cache(maxsize=2)
@@ -500,18 +496,17 @@ def _group_maps(params):
     ]
 
 
-def _group_minimum(p):
-    """The least image of p.cell over the whole automorphism group."""
-    vertices = p.vertices()
-    return min(sum(1 << m[v] for v in vertices) for m in _group_maps(p.params))
+def _group_minimum(params, cell):
+    """The least image of the cell over the whole automorphism group."""
+    vertices = TwoPartition(params, cell).vertices()
+    return min(sum(1 << m[v] for v in vertices) for m in _group_maps(params))
 
 
 def test_up_to_iso_keeps_canonical_representatives():
     reps = brute_force_enumerate(
         H42, EnumConstraints(eigenvalue_index=2, reduced_only=True, up_to_iso=True)
     )
-    assert len(reps) == 1
-    assert reps[0].cell == _group_minimum(reps[0])
+    assert reps == [_group_minimum(H42, reps[0])]
     reps22 = brute_force_enumerate(H22, EnumConstraints(eigenvalue_index=2, up_to_iso=True))
     assert len(reps22) == 1
 
@@ -539,15 +534,15 @@ def test_up_to_iso_keeps_orbit_minima():
             iso = EnumConstraints(eigenvalue_index=index, reduced_only=reduced, up_to_iso=True)
             for route in routes:
                 found = route(params, c)
-                for p in found:
-                    if p.cell not in minimum:
-                        minimum[p.cell] = _group_minimum(p)
-                minima = sorted({minimum[p.cell] for p in found})
-                assert [p.cell for p in route(params, iso)] == minima, (params, index, route)
+                for cell in found:
+                    if cell not in minimum:
+                        minimum[cell] = _group_minimum(params, cell)
+                minima = sorted({minimum[cell] for cell in found})
+                assert route(params, iso) == minima, (params, index, route)
     found = backtracking_enumerate(H42, EnumConstraints(eigenvalue_index=2))
     for i in (0, 30, len(found) - 1):
         with pytest.raises(AssertionError, match="missing"):
-            search._orbit_minima(H42, [p.cell for p in found[:i] + found[i + 1:]])
+            search._orbit_minima(H42, found[:i] + found[i + 1:])
 
 
 def test_up_to_iso_h25_matches_orbit_union_find():
@@ -556,7 +551,7 @@ def test_up_to_iso_h25_matches_orbit_union_find():
     group (coordinate swap; a transposition and a 5-cycle per coordinate),
     one representative per class, the least cell of its orbit."""
     params = GraphParams(2, 5)
-    cells = [p.cell for p in backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2))]
+    cells = backtracking_enumerate(params, EnumConstraints(eigenvalue_index=2))
     assert len(cells) == 4320
     ident, swap01, cycle = (0, 1, 2, 3, 4), (1, 0, 2, 3, 4), (1, 2, 3, 4, 0)
     gens = [Automorphism((2, 1), (ident, ident))] + [
@@ -633,7 +628,9 @@ def test_switching_recognizer_matches_orbit_closure():
     rng = random.Random(11)
     for (n, q), size in {(2, 4): 138, (2, 5): 4320, (3, 3): 0, (3, 4): 648}.items():
         params = GraphParams(n, q)
-        bases = backtracking_enumerate(GraphParams(2, q), EnumConstraints(eigenvalue_index=2))
+        h2q = GraphParams(2, q)
+        bases = [TwoPartition(h2q, cell)
+                 for cell in backtracking_enumerate(h2q, EnumConstraints(eigenvalue_index=2))]
         outputs = []
         for assignment in itertools.product(range(n - 1), repeat=q):
             if set(assignment) != set(range(n - 1)):
@@ -650,7 +647,8 @@ def test_switching_recognizer_matches_orbit_closure():
         reduced = backtracking_enumerate(
             params, EnumConstraints(eigenvalue_index=2, reduced_only=True)
         )
-        accepted = {p.cell for p in reduced if search._match_switching(p) is not None}
+        accepted = {cell for cell in reduced
+                    if search._match_switching(TwoPartition(params, cell)) is not None}
         assert len(closure) == size and accepted == closure, (n, q)
         for cell in sorted(accepted):
             flipped = TwoPartition(params, cell ^ 1 << rng.randrange(params.vertex_count))
@@ -662,7 +660,8 @@ def _cycle_pairs_h42():
     in lexicographic order of their ascending vertex tuples.  Both cells
     are 2-regular iff the quotient is [[2, 2], [2, 2]]."""
     found = backtracking_enumerate(H42, EnumConstraints(quotient=QuotientMatrix(((2, 2),) * 2)))
-    cycles = [p for p in found if is_induced_cycle(H42, p.vertices()) == 8]
+    parts = [TwoPartition(H42, cell) for cell in found]
+    cycles = [p for p in parts if is_induced_cycle(H42, p.vertices()) == 8]
     return sorted((p for p in cycles if p.complement() in cycles), key=TwoPartition.vertices)
 
 
@@ -704,10 +703,10 @@ def test_reduced_lambda2_cells_are_the_predicted_orbits():
     transform.  On H(4, 4) the reduced filter runs on the cells that
     test_sorted_output_is_pinned found, with no second search."""
     reduced_only = EnumConstraints(eigenvalue_index=2, reduced_only=True)
-    for n, q in ((4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (7, 2), (8, 2)):
+    for n, q in ((4, 2), (4, 3), (5, 2), (6, 2), (5, 3), (7, 2), (8, 2), (9, 2)):
         found = backtracking_enumerate(GraphParams(n, q), reduced_only)
         predicted = _lift_orbit(q) if n == 4 and q % 2 == 0 else set()
-        assert {p.cell for p in found} == predicted, (n, q)
+        assert set(found) == predicted, (n, q)
     h44 = GraphParams(4, 4)
     reduced = search._filtered(h44, list(_pinned_cells(4, 4, 2, 2)), reduced_only)
     assert set(reduced) == _lift_orbit(4) and len(reduced) == 1944
@@ -799,7 +798,7 @@ def test_classify_cycle_pair_lifting():
     assert isinstance(tag, CyclePairLifting)
     assert tag.split == frozenset({0})
     rebuilt = lifted_cycle_pair(2, tag.split, tag.cycle_pair)
-    assert _group_minimum(rebuilt) == _group_minimum(p)
+    assert _group_minimum(rebuilt.params, rebuilt.cell) == _group_minimum(p.params, p.cell)
 
 
 def test_classify_lifted_q4():
@@ -818,7 +817,7 @@ def test_classify_never_warns_on_reduced_h42():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tags = [classify_reduced_lambda2(p) for p in reduced]
+        tags = [classify_reduced_lambda2(TwoPartition(H42, cell)) for cell in reduced]
     assert all(isinstance(t, CyclePairLifting) for t in tags)
 
 
@@ -833,10 +832,11 @@ def test_reduced_lambda2_classes_are_tagged():
     }
     c = EnumConstraints(eigenvalue_index=2, reduced_only=True, up_to_iso=True)
     for (n, q), tags in expected.items():
-        reps = backtracking_enumerate(GraphParams(n, q), c)
+        params = GraphParams(n, q)
+        reps = backtracking_enumerate(params, c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            found = [classify_reduced_lambda2(p) for p in reps]
+            found = [classify_reduced_lambda2(TwoPartition(params, cell)) for cell in reps]
         assert [type(t) for t in found] == tags, (n, q)
 
 
@@ -844,8 +844,8 @@ def test_counts_sum_over_essential_coordinates():
     """T_i(n, q) = sum over m of C(n, m) R_i(m, q), at every index: each
     index-i cell of H(n, q) extends exactly one reduced cell on its m
     essential coordinates, and extension keeps the index.  T counts the
-    index-i cells, R the reduced ones, and R_i(m, q) = 0 for i > m.
-    H(4, 3) leaves out index 3: its 60,144 cells take about 8 s."""
+    index-i cells, R the reduced ones, and R_i(m, q) = 0 for i > m.  The
+    totals T_0..T_n of H(4, 3), H(3, 4) and H(6, 2) are pinned too."""
     counts = {}
 
     def count(n, q, i, reduced):
@@ -856,12 +856,14 @@ def test_counts_sum_over_essential_coordinates():
             counts[n, q, i, reduced] = len(backtracking_enumerate(GraphParams(n, q), c))
         return counts[n, q, i, reduced]
 
-    graphs = [(n, 2) for n in range(1, 6)] + [(2, 3), (3, 3), (2, 4), (2, 5)]
-    cases = [(n, q, range(n + 1)) for n, q in graphs] + [(4, 3, (0, 1, 2, 4))]
-    for n, q, indices in cases:
-        for i in indices:
+    graphs = [(n, 2) for n in range(1, 7)] + [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)]
+    for n, q in graphs:
+        for i in range(n + 1):
             total = sum(comb(n, m) * count(m, q, i, True) for m in range(1, n + 1))
             assert count(n, q, i, False) == total, (n, q, i)
+    for (n, q), totals in {(4, 3): [0, 24, 648, 60144, 48], (3, 4): [0, 42, 26766, 52830],
+                           (6, 2): [0, 12, 550, 19600, 894, 12, 2]}.items():
+        assert [count(n, q, i, False) for i in range(n + 1)] == totals, (n, q)
     # the closed form at index 2 for q = 2: R_2(m, 2) = 2, 8, 24, 0 for m = 2..5
     assert [count(m, 2, 2, True) for m in range(2, 6)] == [2, 8, 24, 0]
 
