@@ -20,16 +20,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .hamming import Automorphism, GraphParams, Record, digit_masks, digit_table, neighbor_table
+from .hamming import GraphParams, Record, digit_masks, digit_table, neighbor_table
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
     TwoPartition,
     equitable_check,
-    extend,
     pull,
     quotient_eigenvalue_indices,
-    transform,
 )
 
 
@@ -85,8 +83,9 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
     With blocks (A_1, ..., A_{n-1}) of {0..q-1} and a base 2-partition
     (C, complement) of H(2, q), the base is extended by n-2 nonessential
     coordinates and the slice x_1 in A_i is switched by the transposition
-    of coordinates 2 and i+1 (the A_1 slice stays put).  The result is
-    equitable with the same quotient matrix as the extension.
+    of coordinates 2 and i+1 (the A_1 slice stays put).  The result, built
+    from fibers, holds x iff (x_1, x_(i+1)) lies in C, A_i the block of
+    x_1; it is equitable with the same quotient matrix as the extension.
 
     The base must satisfy the two-sided balance condition: within every
     slice A_i x {0..q-1} all rows {a} x alphabet (a in A_i) and all block
@@ -101,43 +100,43 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
     q = params.q
     if blocks.q != q:
         raise ValueError("blocks must partition the alphabet of the base")
-    rho = Fraction(base.size, q * q)
+    size = base.size
     rows, columns = digit_masks(params)
     for i, block in enumerate(blocks.blocks, 1):
         for a in sorted(block):
             cnt = (base.cell & rows[a]).bit_count()
-            if Fraction(cnt, q) != rho:
+            if cnt * q != size:
                 raise ValueError(
                     f"row {a} of block {i} meets the cell in ratio {Fraction(cnt, q)}, "
-                    f"expected {rho}"
+                    f"expected {Fraction(size, q * q)}"
                 )
         block_rows = sum(rows[a] for a in block)
         for b in range(q):
             cnt = (base.cell & block_rows & columns[b]).bit_count()
-            if Fraction(cnt, len(block)) != rho:
+            if cnt * q * q != size * len(block):
                 raise ValueError(
                     f"column {b} of block {i} meets the cell in ratio "
-                    f"{Fraction(cnt, len(block))}, expected {rho}"
+                    f"{Fraction(cnt, len(block))}, expected {Fraction(size, q * q)}"
                 )
+    # balance puts size / q members in every row and column of the base,
+    # so it is equitable; the n - 2 other coordinates add d to the diagonal
     n = len(blocks.blocks) + 1
-    extended = extend(base, n - 2)
-    s_ref = equitable_check(extended)
-    if isinstance(s_ref, NotEquitable):
-        raise ValueError("balanced base failed the equitability check")
     if n == 2:
-        return extended
-    new_params = extended.params
-    slices = digit_masks(new_params)[0]
-    coords, ident = list(range(1, n + 1)), (tuple(range(q)),) * n
-    bits = 0
-    for i, block in enumerate(blocks.blocks, 1):
-        swap = coords.copy()
-        swap[1], swap[i] = swap[i], swap[1]     # coordinates 2 and i+1
-        image = transform(extended, Automorphism(tuple(swap), ident))
-        bits |= image.cell & sum(slices[a] for a in block)
+        return base
+    (s11, s12), (s21, s22) = equitable_check(base).rows
+    d = (n - 2) * (q - 1)
+    new_params = GraphParams(n, q)
+    fibers = digit_masks(new_params)
+    block_of = blocks.block_of()
+    bits, cell = 0, base.cell
+    while cell:
+        v = cell.bit_length() - 1
+        cell ^= 1 << v
+        a, b = divmod(v, q)
+        bits |= fibers[0][a] & fibers[block_of[a] + 1][b]
     switched = TwoPartition(new_params, bits)
     s_out = equitable_check(switched)
-    if s_out != s_ref:
+    if isinstance(s_out, NotEquitable) or s_out.rows != ((s11 + d, s12), (s21, s22 + d)):
         raise ValueError("switched partition lost equitability; base is not valid")
     return switched
 

@@ -19,14 +19,17 @@ from .hamming import (
     coordinate_stride,
     digit_table,
     eigenvalue,
-    essential_coordinates_of_values,
     residual_witness,
 )
-from .partitions import QuotientMatrix, TwoPartition, quotient_eigenvalues
+from .partitions import QuotientMatrix, TwoPartition, quotient_eigenvalues, slices
 
 # Bound on |f(v)| so the residual (A - lam I) f fits the 64-bit lanes of
 # hamming.residual_witness for every |lam| <= degree on every graph.
 MAX_ABS_VALUE = 1 << 20
+
+# a ternary value mod 3 to a binary digit of its +1 cell and of its -1 cell
+_PLUS_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"010")
+_MINUS_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"001")
 
 
 class VertexFunction(Record):
@@ -199,49 +202,34 @@ Lambda1Form = Union[AllZero, QuasiString, QuasiCross, NotEigen]
 def classify_top_two(f: VertexFunction) -> TopTwoForm:
     """Classify a ternary f inside the span of the top two eigenspaces.
 
-    Returns NotMember when the operator test fails; otherwise the shape is
-    read off the essential coordinates: none gives a constant, one a
-    quasi-string, two a quasi-cross normalized to coordinate_i <
-    coordinate_j.  The rebuilt shape is compared against f; a mismatch
-    (or three or more essential coordinates) cannot happen for a member
-    and raises AssertionError.
+    Returns NotMember when the operator test fails.  Otherwise f depends
+    on the coordinates along which its +1 cell or its -1 cell varies;
+    with none it is a constant.  Else, for the first and last of them,
+    i <= j, plus holds the a with x_i = a meeting the +1 cell, minus the
+    b with x_j = b meeting the -1 cell, and the shape is a quasi-string
+    if i = j, else a quasi-cross.  The rebuilt shape is compared against
+    f; a mismatch (such as three or more essential coordinates) cannot
+    happen for a member and raises AssertionError.
     """
     if not f.is_ternary():
         raise ValueError("classification applies to ternary functions only")
     if not in_top_two_eigenspaces(f):
         return NotMember()
     params = f.params
-    ess = sorted(essential_coordinates_of_values(params, f.values))
+    # bit v of a cell from digit v of a binary string, in one pass
+    digits = bytes([x % 3 for x in f.values])[::-1]
+    plus = slices(params, int(digits.translate(_PLUS_DIGITS), 2))
+    minus = slices(params, int(digits.translate(_MINUS_DIGITS), 2))
+    ess = [k for k, (sp, sm) in enumerate(zip(plus, minus), 1)
+           if sp.count(sp[0]) != params.q or sm.count(sm[0]) != params.q]
     form: TopTwoForm
-    if len(ess) == 0:
+    if not ess:
         form = Constant(f.values[0])
-    elif len(ess) == 1:
-        k = ess[0]
-        stride = coordinate_stride(params, k)
-        fiber = [f.values[a * stride] for a in range(params.q)]
-        form = QuasiString(
-            plus=frozenset(a for a in range(params.q) if fiber[a] == 1),
-            minus=frozenset(a for a in range(params.q) if fiber[a] == -1),
-            coordinate=k,
-        )
-    elif len(ess) == 2:
-        i, j = ess
-        si = coordinate_stride(params, i)
-        sj = coordinate_stride(params, j)
-        grid = [
-            [f.values[a * si + b * sj] for b in range(params.q)]
-            for a in range(params.q)
-        ]
-        form = QuasiCross(
-            plus=frozenset(a for a in range(params.q) if any(x == 1 for x in grid[a])),
-            minus=frozenset(b for b in range(params.q) if any(grid[a][b] == -1 for a in range(params.q))),
-            coordinate_i=i,
-            coordinate_j=j,
-        )
     else:
-        raise AssertionError(
-            "member of the top-two eigenspace span with 3+ essential coordinates"
-        )
+        i, j = ess[0], ess[-1]
+        read = (frozenset(a for a, piece in enumerate(plus[i - 1]) if piece),
+                frozenset(b for b, piece in enumerate(minus[j - 1]) if piece))
+        form = QuasiString(*read, i) if i == j else QuasiCross(*read, i, j)
     if form.build(params).values != f.values:
         raise AssertionError("classified shape does not rebuild the input function")
     return form

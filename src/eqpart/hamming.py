@@ -292,29 +292,6 @@ def residual_witness(
     return r0, ((diff & -diff).bit_length() - 1) // width if diff else None
 
 
-def essential_coordinates_of_values(
-    params: GraphParams, values: Sequence[int]
-) -> frozenset[int]:
-    """Coordinates k such that some line in direction k is non-constant.
-
-    A coordinate missing from the result can be deleted without changing
-    the function of the remaining coordinates.  With s = q^(n-k), every
-    line in direction k is constant iff, within each period of q*s
-    vertices, the values of x_k < q - 1 equal those one stride later.
-    """
-    q, n_vertices = params.q, params.vertex_count
-    ess = []
-    for k in range(1, params.n + 1):
-        s = q ** (params.n - k)
-        period = q * s
-        if any(
-            values[b:b + period - s] != values[b + s:b + period]
-            for b in range(0, n_vertices, period)
-        ):
-            ess.append(k)
-    return frozenset(ess)
-
-
 # ---------------------------------------------------------------------------
 # automorphisms: coordinate permutation composed with per-coordinate symbol
 # permutations (the full automorphism group of H(n, q) for n >= 2, q >= 3)

@@ -130,12 +130,12 @@ class TwoPartition(Record):
         return TwoPartition(self.params, self.complement_bits())
 
 
-def _neighbor_indicators(p: TwoPartition, last_offset: int) -> Iterator[tuple[int, int]]:
-    """(k, bitset of the vertices x whose neighbor x + t*e_k lies in C).
+def _neighbor_indicators(p: TwoPartition) -> Iterator[int]:
+    """Bitsets of the vertices x whose neighbor x + t*e_k lies in C.
 
     Symbols add mod q; coordinates k run ascending and, within each, the
-    offsets t = 1..last_offset.  Each bitset is two masked shifts of the
-    whole cell: by t*s down where x_k < q - t, and by (q - t)*s up where
+    offsets t = 1..q-1.  Each bitset is two masked shifts of the whole
+    cell: by t*s down where x_k < q - t, and by (q - t)*s up where
     x_k >= q - t, with s = q^(n-k).
     """
     params = p.params
@@ -144,9 +144,9 @@ def _neighbor_indicators(p: TwoPartition, last_offset: int) -> Iterator[tuple[in
     for k, fibers in enumerate(digit_masks(params), 1):
         s = q ** (params.n - k)
         high = 0
-        for t in range(1, last_offset + 1):
+        for t in range(1, q):
             high |= fibers[q - t]
-            yield k, ((cell >> t * s) & (full ^ high)) | ((cell << (q - t) * s) & high)
+            yield ((cell >> t * s) & (full ^ high)) | ((cell << (q - t) * s) & high)
 
 
 def _neighbor_count_planes(p: TwoPartition) -> list[int]:
@@ -154,7 +154,7 @@ def _neighbor_count_planes(p: TwoPartition) -> list[int]:
     bit j of the count at v.  The n(q-1) neighbor indicators are summed
     into the planes with a ripple carry."""
     planes = [0] * p.params.degree.bit_length()
-    for _, carry in _neighbor_indicators(p, p.params.q - 1):
+    for carry in _neighbor_indicators(p):
         j = 0
         while carry:
             planes[j], carry = planes[j] ^ carry, planes[j] & carry
@@ -245,13 +245,22 @@ def orthogonal_array_check(p: TwoPartition, s: QuotientMatrix) -> FiberMismatch 
     return None
 
 
-def essential_coordinates(p: TwoPartition) -> frozenset[int]:
-    """Coordinates along which some adjacent pair changes cell.
+def slices(params: GraphParams, cell: int) -> list[list[int]]:
+    """The slices x_k = a of a cell at [k - 1][a], each shifted onto the
+    slice x_k = 0: the cell does not depend on x_k iff its slices along k
+    are all equal ints.  The package reads how a cell depends on a
+    coordinate off these slices only."""
+    q, n = params.q, params.n
+    return [[(cell & fiber) >> a * q ** (n - k) for a, fiber in enumerate(fibers)]
+            for k, fibers in enumerate(digit_masks(params), 1)]
 
-    C is constant on the lines in direction k iff shifting x_k by one
-    maps C onto itself.
-    """
-    return frozenset(k for k, shifted in _neighbor_indicators(p, 1) if shifted != p.cell)
+
+def essential_coordinates(p: TwoPartition) -> frozenset[int]:
+    """Coordinates along which some adjacent pair changes cell: those
+    whose slices are not all equal."""
+    q = p.params.q
+    return frozenset(k for k, along in enumerate(slices(p.params, p.cell), 1)
+                     if along.count(along[0]) != q)
 
 
 def reduce(p: TwoPartition) -> tuple[TwoPartition, tuple[int, ...]]:
@@ -266,8 +275,7 @@ def reduce(p: TwoPartition) -> tuple[TwoPartition, tuple[int, ...]]:
     removed = tuple(sorted(set(range(1, params.n + 1)) - ess, reverse=True))
     if not removed:
         return p, ()
-    if len(removed) == params.n:
-        raise ValueError("partition depends on no coordinate; cells cannot both be nonempty")
+    # ess is not empty: a proper cell of a connected graph is not constant
     q = params.q
     new_params = GraphParams(params.n - len(removed), q)
     # the digits of a reduced vertex fill the kept coordinates, in order,

@@ -43,7 +43,6 @@ from .hamming import (
     Automorphism,
     GraphParams,
     Record,
-    digit_masks,
     digit_table,
     eigenvalue,
     neighbor_table,
@@ -57,6 +56,7 @@ from .partitions import (
     orbit_closure,
     predicted_cell_size,
     pull,
+    slices,
     transform,
 )
 
@@ -377,13 +377,6 @@ ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Un
 _TAG_CYCLE_PAIR = TwoPartition(GraphParams(4, 2), 0xE427)
 
 
-def _slices(params: GraphParams, cell: int, k: int) -> list[int]:
-    """The slices x_k = a of a cell, a = 0..q-1, each shifted onto the
-    slice x_k = 0, so that equal slices are equal ints."""
-    stride = params.q ** (params.n - k)
-    return [(cell & fiber) >> a * stride for a, fiber in enumerate(digit_masks(params)[k - 1])]
-
-
 def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
     """The tag of the first split and _TAG_CYCLE_PAIR if p is isomorphic
     to a lifted cycle pair, else None.
@@ -404,10 +397,9 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
         return None
     half = q // 2
     betas = []
-    for k in range(1, 5):
-        slices = _slices(params, p.cell, k)
-        zero = [a for a in range(q) if slices[a] == slices[0]]
-        if len(zero) != half or len(set(slices)) != 2:
+    for along in slices(params, p.cell):
+        zero = [a for a in range(q) if along[a] == along[0]]
+        if len(zero) != half or len(set(along)) != 2:
             return None
         betas.append(tuple(zero + [a for a in range(q) if a not in zero]))
     h42 = GraphParams(4, 2)
@@ -441,11 +433,12 @@ def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
     params = p.params
     n, q = params.n, params.q
     ident = (tuple(range(q)),) * n
-    for c in range(1, n + 1):
+    for c, pieces in enumerate(slices(params, p.cell), 1):
         others = [k for k in range(1, n + 1) if k != c]
         sigma, rows = [], []
-        for piece in _slices(params, p.cell, c):
-            reads = [(k, subs) for k in others if len(set(subs := _slices(params, piece, k))) > 1]
+        for piece in pieces:
+            along = slices(params, piece)
+            reads = [(k, subs) for k in others if len(set(subs := along[k - 1])) > 1]
             if len(reads) != 1:
                 break
             (k, subs), = reads

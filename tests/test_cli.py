@@ -163,6 +163,8 @@ def test_construct_b_usage_errors():
     assert code == 2 and "even" in err
     code, _, err = run(["construct-b", "--q", "4", "--split", "0"])
     assert code == 2 and "q/2" in err
+    assert run(["construct-b", "--q", "4", "--split", "0,1|2,3"]) == (
+        2, "", "error: --split must be a single comma-separated symbol list\n")
 
 
 def test_construct_b_bad_cycle_pair(tmp_path):
@@ -339,6 +341,10 @@ def test_enumerate_usage_errors():
     code, _, err = run(["enumerate", "--n", "2", "--q", "2", "--eig-index", "2",
                        "--threads", "0"])
     assert code == 2 and "threads" in err
+    assert run(["enumerate", "--n", "2", "--q", "2", "--quotient", "1,x;1,1"]) == (
+        2, "", "error: invalid --quotient row '1,x'; expected comma-separated integers\n")
+    assert run(["enumerate", "--n", "2", "--q", "2", "--quotient=-1,3;1,1"]) == (
+        2, "", "error: invalid --quotient: quotient matrix entries must be nonnegative\n")
 
 
 def test_classify_t5(tmp_path, monkeypatch):

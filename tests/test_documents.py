@@ -1,12 +1,14 @@
 """JSON document parsing, the nibble-wise hex cell codec and the result
 serializer."""
 
+import io
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from eqpart.cli import run_command
 from eqpart.constructions import AlphabetBlocks, eight_cycle_partition
 from eqpart.documents import (
     DocumentError,
@@ -91,7 +93,17 @@ def test_partition_lines_match_the_encoder():
     assert partition_lines(GraphParams(2, 2), []) == ""
 
 
-def test_partition_doc_rejects():
+def _refusal(tmp_path, command, doc):
+    """The stderr of command run on doc, which must exit 2 with no stdout."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command([command, str(path)], stdout=out, stderr=err) == 2
+    assert out.getvalue() == ""
+    return err.getvalue()
+
+
+def test_partition_doc_rejects(tmp_path):
     good = {"format_version": 1, "n": 2, "q": 2, "cell": "6"}
     assert partition_from_doc(good).cell == 6
     for mutation in (
@@ -117,6 +129,8 @@ def test_partition_doc_rejects():
         partition_from_doc({"format_version": 1, "n": 2, "q": 2, "cell": "f"})
     with pytest.raises(DocumentError):
         partition_from_doc([1, 2, 3])
+    no_n = {"format_version": 1, "q": 2, "cell": "6"}
+    assert _refusal(tmp_path, "verify", no_n) == "error: document is missing 'n'\n"
 
 
 def test_function_doc_round_trip():
@@ -125,7 +139,7 @@ def test_function_doc_round_trip():
     assert function_from_doc(doc) == f
 
 
-def test_function_doc_rejects():
+def test_function_doc_rejects(tmp_path):
     good = {"format_version": 1, "n": 2, "q": 2, "values": [1, 0, -1, 0]}
     assert function_from_doc(good).values == (1, 0, -1, 0)
     with pytest.raises(DocumentError, match="all 4"):
@@ -140,6 +154,8 @@ def test_function_doc_rejects():
         function_from_doc({"format_version": 1, "n": 2, "q": 2})
     with pytest.raises(DocumentError):
         function_from_doc({**good, "values": [1, 0, 1 << 30, 0]})
+    assert _refusal(tmp_path, "classify-fn", [1, 0, -1, 0]) == (
+        "error: function document must be a JSON object\n")
 
 
 def test_load_json():

@@ -25,7 +25,6 @@ from eqpart.hamming import (
     digit_table,
     eigenvalue,
     encode_vertex,
-    essential_coordinates_of_values,
     neighbor_table,
     neighbors,
     random_automorphism,
@@ -39,7 +38,12 @@ from eqpart.search import (
     TernaryCensus,
     Unclassified,
 )
-from oracles import apply_automorphism, decode_vertex, vertex_map
+from oracles import (
+    apply_automorphism,
+    decode_vertex,
+    essential_coordinates_of_values,
+    vertex_map,
+)
 
 PARAMS = [GraphParams(2, 2), GraphParams(3, 2), GraphParams(2, 3), GraphParams(2, 4), GraphParams(3, 3)]
 

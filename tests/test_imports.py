@@ -107,6 +107,16 @@ def test_no_module_decodes_vertices():
         assert "decode_vertex" not in names | _reads(tree, tree), path.name
 
 
+def test_only_three_modules_read_digit_masks():
+    """hamming builds the fiber masks, partitions reads how a cell depends
+    on a coordinate off them (partitions.slices) and checks fibers with
+    them, and constructions builds cells from them; every other module
+    asks partitions."""
+    readers = {path.stem for path in PACKAGE.glob("*.py")
+               if "digit_masks" in _reads(tree := ast.parse(path.read_text()), tree)}
+    assert not readers - {"hamming", "partitions", "constructions"}, sorted(readers)
+
+
 def test_every_public_name_has_a_caller():
     """Every public top-level function and class of the package is read
     by package code outside its own definition, or by the acceptance

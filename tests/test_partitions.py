@@ -10,7 +10,6 @@ from eqpart.hamming import (
     GraphParams,
     digit_masks,
     eigenvalue,
-    essential_coordinates_of_values,
     neighbor_table,
     neighbors,
     random_automorphism,
@@ -32,7 +31,7 @@ from eqpart.partitions import (
     transform,
 )
 from eqpart.search import EnumConstraints, _fast_two_quotient, backtracking_enumerate
-from oracles import apply_automorphism, decode_vertex
+from oracles import apply_automorphism, decode_vertex, essential_coordinates_of_values
 
 H22 = GraphParams(2, 2)
 H32 = GraphParams(3, 2)
