@@ -3,10 +3,12 @@
 Results go to stdout as JSON (one object, or for enumerate one object per
 line followed by a summary).  Exit codes: 0 for success, 1 for a verified
 negative result (a partition that is not equitable, a construction whose
-input fails its balance gate, an unclassified partition), 2 for usage or
-document format errors and for inputs beyond a guard.  A reader that
-closes stdout early (eqpart ... | head) ends the run with exit 1 and no
-traceback.
+input fails its balance gate, an unclassified partition), 2 for usage
+errors and for every ValueError a command lets through: a document that
+cannot be read, decoded or parsed, and an input beyond a guard.  An
+AssertionError is a broken invariant and ends in a traceback.  A reader
+that closes stdout early (eqpart ... | head) ends the run with exit 1 and
+no traceback.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .constructions import (
     permutation_switching,
 )
 from .documents import (
-    DocumentError,
     function_from_doc,
     guarded_params,
     load_json,
@@ -72,9 +73,9 @@ def _print_json(obj: Any) -> None:
 
 def _read_doc(path: str) -> Any:
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     return load_json(text)
 
 
@@ -146,7 +147,7 @@ def _cmd_construct_a(args: argparse.Namespace) -> int:
     try:
         blocks = AlphabetBlocks(parse_blocks(args.blocks))
     except ValueError as exc:
-        raise DocumentError(f"invalid --blocks: {exc}") from None
+        raise ValueError(f"invalid --blocks: {exc}") from None
     guarded_params(len(blocks.blocks) + 1, blocks.q)
     base = partition_from_doc(_read_doc(args.base))
     return _print_construction(lambda: permutation_switching(blocks, base),
@@ -157,12 +158,12 @@ def _cmd_construct_b(args: argparse.Namespace) -> int:
     q = args.q
     split, *others = parse_blocks(args.split)
     if others:
-        raise DocumentError("--split must be a single comma-separated symbol list")
+        raise ValueError("--split must be a single comma-separated symbol list")
     if q < 2 or q % 2:
-        raise DocumentError("--q must be even and >= 2")
+        raise ValueError("--q must be even and >= 2")
     guarded_params(4, q)
     if any(not 0 <= x < q for x in split) or len(split) != q // 2:
-        raise DocumentError(f"--split must name q/2 = {q // 2} symbols from 0..{q - 1}")
+        raise ValueError(f"--split must name q/2 = {q // 2} symbols from 0..{q - 1}")
     cycle_pair = None
     if args.cycle_pair is not None:
         cycle_pair = partition_from_doc(_read_doc(args.cycle_pair))
@@ -174,7 +175,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     try:
         blocks = LiftBlocks(parse_blocks(args.blocks))
     except ValueError as exc:
-        raise DocumentError(f"invalid --blocks: {exc}") from None
+        raise ValueError(f"invalid --blocks: {exc}") from None
     p = partition_from_doc(_read_doc(args.input))
     guarded_params(p.params.n, blocks.q)
     return _print_construction(lambda: lift_two_partition(p, blocks), blocks=to_json(blocks))
@@ -186,8 +187,6 @@ def _cmd_eight_cycle(args: argparse.Namespace) -> int:
 
 def _cmd_classify_fn(args: argparse.Namespace) -> int:
     f = function_from_doc(_read_doc(args.input))
-    if not f.is_ternary():
-        raise DocumentError("classification applies to ternary functions only")
     form = classify_top_two(f)
     _print_json({
         "member": not isinstance(form, NotMember),
@@ -213,36 +212,33 @@ def _parse_quotient(text: str) -> QuotientMatrix:
         try:
             rows.append(tuple(int(x.strip()) for x in part.split(",")))
         except ValueError:
-            raise DocumentError(
+            raise ValueError(
                 f"invalid --quotient row {part!r}; expected comma-separated integers"
             ) from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        raise DocumentError('--quotient must look like "s11,s12;s21,s22"')
+        raise ValueError('--quotient must look like "s11,s12;s21,s22"')
     try:
         return QuotientMatrix(tuple(rows))
     except ValueError as exc:
-        raise DocumentError(f"invalid --quotient: {exc}") from None
+        raise ValueError(f"invalid --quotient: {exc}") from None
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    try:
-        params = GraphParams(args.n, args.q)
-        constraints = EnumConstraints(
-            quotient=_parse_quotient(args.quotient) if args.quotient else None,
-            eigenvalue_index=args.eig_index,
-            reduced_only=args.reduced_only,
-            up_to_iso=args.up_to_iso,
-        )
-        # refuses a malformed quotient for both routes, not just the search
-        candidates = candidate_quotient_matrices(params, constraints)
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        if args.brute_force:
-            cells = brute_force_enumerate(params, constraints)
-        else:
-            cells = backtracking_enumerate(params, constraints, threads=args.threads)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    params = GraphParams(args.n, args.q)
+    constraints = EnumConstraints(
+        quotient=_parse_quotient(args.quotient) if args.quotient else None,
+        eigenvalue_index=args.eig_index,
+        reduced_only=args.reduced_only,
+        up_to_iso=args.up_to_iso,
+    )
+    # refuses a malformed quotient for both routes, not just the search
+    candidates = candidate_quotient_matrices(params, constraints)
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
+    if args.brute_force:
+        cells = brute_force_enumerate(params, constraints)
+    else:
+        cells = backtracking_enumerate(params, constraints, threads=args.threads)
     for i in range(0, len(cells), 256):     # few writes, few lines held at once
         sys.stdout.write(partition_lines(params, cells[i:i + 256]))
     # Every proper equitable cell of a connected graph has S12, S21 >= 1, so
@@ -270,10 +266,7 @@ def _cmd_classify_t5(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_ternary(args: argparse.Namespace) -> int:
-    try:
-        census = enumerate_ternary_census(GraphParams(args.n, args.q))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    census = enumerate_ternary_census(GraphParams(args.n, args.q))
     _print_json({**to_json(census), "members": census.members, "total": census.total})
     return 0
 
@@ -353,7 +346,7 @@ def run_command(argv: list[str], stdout=None, stderr=None) -> int:
             return code if isinstance(code, int) else 2
         try:
             return args.func(args)
-        except DocumentError as exc:
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

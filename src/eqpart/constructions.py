@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .hamming import GraphParams, Record, digit_masks, digit_table, neighbor_table
+from .hamming import GraphParams, Record, digit_masks, digit_table, neighbors
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
@@ -207,24 +207,17 @@ def is_induced_cycle(params: GraphParams, code: Iterable[int]) -> Optional[int]:
         raise ValueError("code contains out-of-range vertices")
     if len(vs) < 3:
         return None
-    nbrs = neighbor_table(params)
-    for v in vs:
-        if sum(1 for w in nbrs[v] if w in vs) != 2:
-            return None
-    start = min(vs)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in nbrs[v]:
-                if w in vs and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    if seen != vs:
+    # the members' neighbors alone: a table of the whole graph costs q^n rows
+    nbrs = {v: [w for _, w in neighbors(params, v) if w in vs] for v in vs}
+    if any(len(ws) != 2 for ws in nbrs.values()):
         return None
-    return len(vs)
+    seen, stack = set(), [min(vs)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack += nbrs[v]
+    return len(vs) if seen == vs else None
 
 
 def lifted_cycle_pair(

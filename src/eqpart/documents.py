@@ -30,16 +30,12 @@ from .hamming import GraphParams, Record
 from .partitions import TwoPartition
 
 FORMAT_VERSION = 1
-# Bound on degree * q^n.  verify of a one-vertex cell of H(1, q) at the
-# bound takes about 1.4 s and 36 MB on an Intel Xeon vCPU; twice past it,
-# 2.8 s and 54 MB.
+# Bound on degree * q^n.  verify of a one-vertex or a three-vertex cell
+# (an induced 3-cycle) of H(1, 16384) at the bound takes 1.1 to 1.4 s and
+# 33 to 35 MB on an Intel Xeon vCPU.
 ARC_LIMIT = 1 << 28
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-
-class DocumentError(ValueError):
-    """A document that does not follow the format."""
 
 
 def cell_to_hex(cell: int, bit_length: int) -> str:
@@ -51,45 +47,42 @@ def cell_to_hex(cell: int, bit_length: int) -> str:
 def hex_to_cell(text: str, bit_length: int) -> int:
     expected = (bit_length + 3) // 4
     if len(text) != expected:
-        raise DocumentError(
+        raise ValueError(
             f"cell hex must have exactly {expected} characters, got {len(text)}"
         )
     # int() would also take whitespace, "_", "0x", a sign and non-ASCII digits
     if not _HEX_DIGITS.issuperset(text):
         ch = next(ch for ch in text if ch not in _HEX_DIGITS)
-        raise DocumentError(f"invalid hex character {ch!r} in cell")
+        raise ValueError(f"invalid hex character {ch!r} in cell")
     cell = int(text[::-1], 16)
     if cell >> bit_length:
-        raise DocumentError("cell hex sets bits beyond q^n")
+        raise ValueError("cell hex sets bits beyond q^n")
     return cell
 
 
 def _require_int(doc: Mapping[str, Any], key: str) -> int:
     if key not in doc:
-        raise DocumentError(f"document is missing {key!r}")
+        raise ValueError(f"document is missing {key!r}")
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{key!r} must be an integer")
+        raise ValueError(f"{key!r} must be an integer")
     return value
 
 
 def _check_version(doc: Mapping[str, Any]) -> None:
     if _require_int(doc, "format_version") != FORMAT_VERSION:
-        raise DocumentError(
+        raise ValueError(
             f"unsupported format_version {doc['format_version']}; expected {FORMAT_VERSION}"
         )
 
 
 def guarded_params(n: int, q: int) -> GraphParams:
     """H(n, q) for a graph that a command reads or builds, refused with a
-    DocumentError past the vertex guard or past ARC_LIMIT arcs: the time
-    and memory of those commands grow with degree * q^n."""
-    try:
-        params = GraphParams(n, q)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    ValueError past the vertex guard or past ARC_LIMIT arcs: the time and
+    memory of those commands grow with degree * q^n."""
+    params = GraphParams(n, q)
     if params.degree * params.vertex_count > ARC_LIMIT:
-        raise DocumentError("degree * q^n exceeds the 2^28 arc guard")
+        raise ValueError("degree * q^n exceeds the 2^28 arc guard")
     return params
 
 
@@ -118,50 +111,42 @@ def partition_from_doc(doc: Mapping[str, Any]) -> TwoPartition:
     """Parse a partition document with a "cell" hex bitset or a "vertices"
     index list (exactly one of the two)."""
     if not isinstance(doc, Mapping):
-        raise DocumentError("partition document must be a JSON object")
+        raise ValueError("partition document must be a JSON object")
     _check_version(doc)
     params = _params_of(doc)
     has_cell = "cell" in doc
     has_vertices = "vertices" in doc
     if has_cell == has_vertices:
-        raise DocumentError('give exactly one of "cell" and "vertices"')
-    try:
-        if has_cell:
-            if not isinstance(doc["cell"], str):
-                raise DocumentError('"cell" must be a hex string')
-            return TwoPartition(params, hex_to_cell(doc["cell"], params.vertex_count))
-        vs = doc["vertices"]
-        if not isinstance(vs, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in vs
-        ):
-            raise DocumentError('"vertices" must be a list of integers')
-        return TwoPartition.from_vertices(params, vs)
-    except ValueError as exc:
-        if isinstance(exc, DocumentError):
-            raise
-        raise DocumentError(str(exc)) from None
+        raise ValueError('give exactly one of "cell" and "vertices"')
+    if has_cell:
+        if not isinstance(doc["cell"], str):
+            raise ValueError('"cell" must be a hex string')
+        return TwoPartition(params, hex_to_cell(doc["cell"], params.vertex_count))
+    vs = doc["vertices"]
+    if not isinstance(vs, list) or any(
+        isinstance(v, bool) or not isinstance(v, int) for v in vs
+    ):
+        raise ValueError('"vertices" must be a list of integers')
+    return TwoPartition.from_vertices(params, vs)
 
 
 def function_from_doc(doc: Mapping[str, Any]) -> VertexFunction:
     if not isinstance(doc, Mapping):
-        raise DocumentError("function document must be a JSON object")
+        raise ValueError("function document must be a JSON object")
     _check_version(doc)
     params = _params_of(doc)
     if "values" not in doc:
-        raise DocumentError('document is missing "values"')
+        raise ValueError('document is missing "values"')
     vals = doc["values"]
     if not isinstance(vals, list) or any(
         isinstance(v, bool) or not isinstance(v, int) for v in vals
     ):
-        raise DocumentError('"values" must be a list of integers')
+        raise ValueError('"values" must be a list of integers')
     if len(vals) != params.vertex_count:
-        raise DocumentError(
+        raise ValueError(
             f'"values" must list all {params.vertex_count} vertices, got {len(vals)}'
         )
-    try:
-        return VertexFunction(params, tuple(vals))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from None
+    return VertexFunction(params, tuple(vals))
 
 
 def load_json(text: str) -> Any:
@@ -170,7 +155,7 @@ def load_json(text: str) -> Any:
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise DocumentError(f"invalid JSON: {exc}") from None
+        raise ValueError(f"invalid JSON: {exc}") from None
 
 
 def parse_blocks(text: str) -> tuple[frozenset[int], ...]:
@@ -181,9 +166,9 @@ def parse_blocks(text: str) -> tuple[frozenset[int], ...]:
         try:
             blocks.append(frozenset(int(s.strip()) for s in items))
         except ValueError:
-            raise DocumentError(f"invalid block {part!r}; expected comma-separated integers") from None
+            raise ValueError(f"invalid block {part!r}; expected comma-separated integers") from None
         if len(blocks[-1]) != len(items):
-            raise DocumentError(f"block {part!r} repeats a symbol")
+            raise ValueError(f"block {part!r} repeats a symbol")
     return tuple(blocks)
 
 

@@ -13,6 +13,7 @@ n(q-1).  All arithmetic is exact integer arithmetic.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Iterator, Sequence
@@ -272,7 +273,12 @@ def residual_witness(
     if nbytes == 1:
         packed = int.from_bytes(bytes(values), "little")
     else:
-        packed = int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in values), "little")
+        from array import array     # only wide lanes need it: start-up skips loading it
+        # iter(): array() would read an indicator's bytes as raw machine words
+        lanes = array(next(c for c in "HILQ" if array(c).itemsize == nbytes), iter(values))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        packed = int.from_bytes(lanes, "little")
     lane = (1 << width) - 1
     full = (1 << n_vertices * width) - 1
     repunit = full // lane

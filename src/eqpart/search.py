@@ -64,7 +64,7 @@ BRUTE_FORCE_LIMIT = 25          # vertex-count bound for the 2^(q^n) sweep
 # Vertex-count bound for the backtracking search.  Its stack is a list, so
 # the bound is not a frame limit; it stays well beyond the graphs the search
 # finishes in minutes (H(3, 4), 64 vertices, takes about 0.3 s at index 2,
-# and H(3, 5), 125 vertices, about 26 s).
+# and H(3, 5), 125 vertices, 8 to 11 s on 2 vCPUs).
 BACKTRACK_LIMIT = 512
 # Census bounds: q^n <= 18 keeps each half of the join at most 3^9 keys, and
 # the closed-form member count bounds the classify calls, one per member.

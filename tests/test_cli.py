@@ -57,7 +57,9 @@ def test_verify_pass(tmp_path):
 
 def test_verify_builds_no_neighbor_table(tmp_path):
     """The certificate of the 8-cycle pair extended to H(16, 2) comes from
-    the bitset kernel alone: no 65,536-row neighbor table is built."""
+    the bitset kernel alone: no 65,536-row neighbor table is built.  The
+    induced cycle of a 3-vertex cell of H(1, 1000) is read off its
+    members' neighbors, not off a 1,000-row table of the whole graph."""
     pair = extend(eight_cycle_partition(), 12)
     neighbor_table.cache_clear()
     code, out, err = run(["verify", write_doc(tmp_path, "p.json", partition_to_doc(pair))])
@@ -75,6 +77,12 @@ def test_verify_builds_no_neighbor_table(tmp_path):
         "orthogonal_array": {"applicable": True, "balanced": True},
         "induced_cycle_lengths": {"cell": None, "complement": None},
     }
+    triangle = {"format_version": 1, "n": 1, "q": 1000, "vertices": [0, 1, 2]}
+    code, out, err = run(["verify", write_doc(tmp_path, "t.json", triangle)])
+    assert code == 0 and err == ""
+    cert = json.loads(out)
+    assert cert["quotient"] == [[2, 997], [3, 996]]
+    assert cert["induced_cycle_lengths"] == {"cell": 3, "complement": None}
     assert neighbor_table.cache_info().currsize == 0
 
 
@@ -105,6 +113,16 @@ def test_verify_bad_document(tmp_path):
 def test_verify_missing_file():
     code, out, err = run(["verify", "/definitely/not/here.json"])
     assert code == 2 and "cannot read" in err
+
+
+def test_verify_undecodable_file(tmp_path):
+    """A document file that is not UTF-8 is refused in one line, like any
+    other document that cannot be parsed."""
+    path = tmp_path / "p.json"
+    path.write_bytes(b'\xff{"format_version": 1}')
+    code, out, err = run(["verify", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "classify-fn", "reduce"])

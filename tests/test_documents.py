@@ -4,6 +4,7 @@ serializer."""
 import io
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from eqpart.cli import run_command
 from eqpart.constructions import AlphabetBlocks, eight_cycle_partition
 from eqpart.documents import (
-    DocumentError,
     blocks_to_text,
     cell_to_hex,
     function_from_doc,
@@ -54,17 +54,17 @@ def test_cell_hex_round_trip():
 
 
 def test_cell_hex_rejects():
-    with pytest.raises(DocumentError, match="exactly"):
+    with pytest.raises(ValueError, match="exactly"):
         hex_to_cell("e427", 9)
-    with pytest.raises(DocumentError, match="invalid hex"):
+    with pytest.raises(ValueError, match="invalid hex"):
         hex_to_cell("e42x", 16)
     # int() would take each of these; the cell format does not
     for text, bad in ((" e42", " "), ("e_27", "_"), ("0xe4", "x")):
-        with pytest.raises(DocumentError, match=f"invalid hex character '{bad}'"):
+        with pytest.raises(ValueError, match=f"invalid hex character '{bad}'"):
             hex_to_cell(text, 16)
-    with pytest.raises(DocumentError, match="beyond"):
+    with pytest.raises(ValueError, match="beyond"):
         hex_to_cell("4", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cell bitset has bits beyond the stated length"):
         cell_to_hex(16, 4)
 
 
@@ -106,28 +106,28 @@ def _refusal(tmp_path, command, doc):
 def test_partition_doc_rejects(tmp_path):
     good = {"format_version": 1, "n": 2, "q": 2, "cell": "6"}
     assert partition_from_doc(good).cell == 6
-    for mutation in (
-        {"format_version": 2},
-        {"format_version": "1"},
-        {"n": "2"},
-        {"n": True},
-        {"cell": 6},
-        {"cell": "64"},
-        {"vertices": [0]},  # both cell and vertices
-        {"q": 1},
+    for mutation, message in (
+        ({"format_version": 2}, "unsupported format_version 2; expected 1"),
+        ({"format_version": "1"}, "'format_version' must be an integer"),
+        ({"n": "2"}, "'n' must be an integer"),
+        ({"n": True}, "'n' must be an integer"),
+        ({"cell": 6}, '"cell" must be a hex string'),
+        ({"cell": "64"}, "cell hex must have exactly 1 characters, got 2"),
+        ({"vertices": [0]}, 'give exactly one of "cell" and "vertices"'),  # both
+        ({"q": 1}, "need q >= 2, got q=1"),
     ):
         doc = {**good, **mutation}
-        with pytest.raises(DocumentError):
+        with pytest.raises(ValueError, match=re.escape(message)):
             partition_from_doc(doc)
-    with pytest.raises(DocumentError):
+    with pytest.raises(ValueError, match='give exactly one of "cell" and "vertices"'):
         partition_from_doc({"format_version": 1, "n": 2, "q": 2})
-    with pytest.raises(DocumentError):
+    with pytest.raises(ValueError, match='"vertices" must be a list of integers'):
         partition_from_doc({"format_version": 1, "n": 2, "q": 2, "vertices": [0, True]})
-    with pytest.raises(DocumentError):
+    with pytest.raises(ValueError, match=re.escape("vertex 4 outside [0, 4)")):
         partition_from_doc({"format_version": 1, "n": 2, "q": 2, "vertices": [0, 4]})
-    with pytest.raises(DocumentError, match="nonempty"):
+    with pytest.raises(ValueError, match="nonempty"):
         partition_from_doc({"format_version": 1, "n": 2, "q": 2, "cell": "f"})
-    with pytest.raises(DocumentError):
+    with pytest.raises(ValueError, match="partition document must be a JSON object"):
         partition_from_doc([1, 2, 3])
     no_n = {"format_version": 1, "q": 2, "cell": "6"}
     assert _refusal(tmp_path, "verify", no_n) == "error: document is missing 'n'\n"
@@ -142,17 +142,14 @@ def test_function_doc_round_trip():
 def test_function_doc_rejects(tmp_path):
     good = {"format_version": 1, "n": 2, "q": 2, "values": [1, 0, -1, 0]}
     assert function_from_doc(good).values == (1, 0, -1, 0)
-    with pytest.raises(DocumentError, match="all 4"):
+    with pytest.raises(ValueError, match="all 4"):
         function_from_doc({**good, "values": [1, 0]})
-    with pytest.raises(DocumentError):
-        function_from_doc({**good, "values": [1, 0, 0.5, 0]})
-    with pytest.raises(DocumentError):
-        function_from_doc({**good, "values": [1, 0, True, 0]})
-    with pytest.raises(DocumentError):
-        function_from_doc({**good, "values": "1010"})
-    with pytest.raises(DocumentError, match="missing"):
+    for values in ([1, 0, 0.5, 0], [1, 0, True, 0], "1010"):
+        with pytest.raises(ValueError, match='"values" must be a list of integers'):
+            function_from_doc({**good, "values": values})
+    with pytest.raises(ValueError, match="missing"):
         function_from_doc({"format_version": 1, "n": 2, "q": 2})
-    with pytest.raises(DocumentError):
+    with pytest.raises(ValueError, match="value 1073741824 exceeds the magnitude guard"):
         function_from_doc({**good, "values": [1, 0, 1 << 30, 0]})
     assert _refusal(tmp_path, "classify-fn", [1, 0, -1, 0]) == (
         "error: function document must be a JSON object\n")
@@ -160,7 +157,7 @@ def test_function_doc_rejects(tmp_path):
 
 def test_load_json():
     assert load_json('{"a": 1}') == {"a": 1}
-    with pytest.raises(DocumentError, match="invalid JSON"):
+    with pytest.raises(ValueError, match="invalid JSON"):
         load_json("{")
 
 
@@ -168,11 +165,11 @@ def test_parse_blocks():
     assert parse_blocks("0,1|2,3") == (frozenset({0, 1}), frozenset({2, 3}))
     assert parse_blocks("2") == (frozenset({2}),)
     assert parse_blocks(" 0 , 1 ") == (frozenset({0, 1}),)
-    with pytest.raises(DocumentError, match="repeats"):
+    with pytest.raises(ValueError, match="repeats"):
         parse_blocks("0,0")
-    with pytest.raises(DocumentError, match="invalid block"):
+    with pytest.raises(ValueError, match="invalid block"):
         parse_blocks("0,x")
-    with pytest.raises(DocumentError):
+    with pytest.raises(ValueError, match="invalid block '0,'"):
         parse_blocks("0,|1")
 
 

@@ -1,6 +1,7 @@
 """Each module imports on its own, in a fresh interpreter, every public
-name of the package has a caller, and the imports between the modules
-form no cycle and take no private name.
+name of the package has a caller, the imports between the modules form
+no cycle and take no private name, and the package refuses input with
+built-in exceptions only.
 
 In one test process every module is already loaded by the time a test
 runs, which hides an import cycle that only shows when a module is the
@@ -9,6 +10,7 @@ module is checked as soon as it exists.
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -185,3 +187,33 @@ def test_import_graph_has_no_cycle_and_no_private_name():
     for module in graph:
         if module not in state:
             walk(module, [module])
+
+
+REFUSALS = {"ValueError", "AssertionError", "RuntimeError", "TypeError", "AttributeError"}
+
+
+def _names_exception(base):
+    """Whether a class base, a name or an attribute, names a built-in
+    exception or, by its name, one of the package's own."""
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    builtin = getattr(builtins, name, None)
+    return name.endswith(("Error", "Exception")) or (
+        isinstance(builtin, type) and issubclass(builtin, BaseException))
+
+
+def test_one_refusal_rule():
+    """The package defines no exception class, and every raise names one
+    of REFUSALS: cli.run_command turns each ValueError into one stderr
+    line and exit 2, and an AssertionError, a broken invariant, ends in a
+    traceback, so no refusal needs a class of its own."""
+    classes, raised = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(map(_names_exception, node.bases)):
+                classes.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if not isinstance(exc, ast.Name) or exc.id not in REFUSALS:
+                    raised.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
+    assert not classes, classes
+    assert not raised, raised

@@ -1,11 +1,15 @@
 """Property tests, with inputs drawn by Hypothesis."""
 
+import io
+import json
 from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eqpart.cli import run_command
+from eqpart.documents import cell_to_hex
 from eqpart.eigenfunctions import MAX_ABS_VALUE
 from eqpart.hamming import GraphParams, neighbor_table, random_automorphism, residual_witness
 from eqpart.partitions import QuotientMatrix, TwoPartition, equitable_check, transform
@@ -141,3 +145,68 @@ def test_backtracking_matches_brute_force_on_explicit_quotients(case):
         assert brute_force_enumerate(params, c) == []
         return
     assert backtracking_enumerate(params, c) == brute_force_enumerate(params, c)
+
+
+# Drawn JSON values: an int in [-1, 3] keeps q^n <= 64 when it replaces n or
+# q of a base graph, and +-10^30 is refused by a guard before any work.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(-1, 3)
+    | st.sampled_from([10 ** 30, -10 ** 30]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def mutated_documents(draw):
+    """(commands, bytes): a valid partition or function document of H(2, 2),
+    H(2, 3) or H(3, 2), kept whole, with one key dropped, one value
+    replaced, its text truncated or one byte of it replaced, and the
+    commands that read it."""
+    n, q = draw(st.sampled_from(((2, 2), (2, 3), (3, 2))))
+    size = q ** n
+    doc = {"format_version": 1, "n": n, "q": q}
+    kind = draw(st.sampled_from(("cell", "vertices", "values")))
+    if kind == "values":
+        doc["values"] = draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+        commands = ("classify-fn",)
+    else:
+        cell = draw(st.integers(1, (1 << size) - 2))
+        doc[kind] = (cell_to_hex(cell, size) if kind == "cell"
+                     else [v for v in range(size) if cell >> v & 1])
+        commands = ("verify", "reduce", "classify-t5")
+    how = draw(st.sampled_from(("keep", "drop", "replace", "truncate", "byte")))
+    if how == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif how == "replace":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JSON_VALUES)
+    data = json.dumps(doc).encode()
+    if how == "truncate":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    elif how == "byte":
+        i = draw(st.integers(0, len(data) - 1))
+        data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1:]
+    return commands, data
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=mutated_documents())
+@example(case=(("verify", "reduce", "classify-t5"), b'\xff"format_version": 1}'))
+def test_documents_never_end_in_a_traceback(tmp_path_factory, case):
+    """Each command that reads a document ends a mutated one with exit 0
+    or 1 and JSON lines on stdout, or with exit 2, nothing on stdout and
+    one stderr line, whatever the mutation left of the text."""
+    commands, data = case
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_bytes(data)
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command([command, str(path)], stdout=out, stderr=err)
+        if code == 2:
+            assert out.getvalue() == "", command
+            assert err.getvalue().startswith("error: "), command
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), command
+        else:
+            assert code in (0, 1) and err.getvalue() == "", command
+            for line in out.getvalue().splitlines():
+                assert isinstance(json.loads(line), dict), command
