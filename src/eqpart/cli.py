@@ -1,14 +1,14 @@
 """Command line interface.
 
 Results go to stdout as JSON (one object, or for enumerate one object per
-line followed by a summary).  Exit codes: 0 for success, 1 for a verified
-negative result (a partition that is not equitable, a construction whose
-input fails its balance gate, an unclassified partition), 2 for usage
-errors and for every ValueError a command lets through: a document that
-cannot be read, decoded or parsed, and an input beyond a guard.  An
-AssertionError is a broken invariant and ends in a traceback.  A reader
-that closes stdout early (eqpart ... | head) ends the run with exit 1 and
-no traceback.
+line followed by a summary).  Exit codes: 0 for success, 1 for a failed
+mathematical gate only (a partition that is not equitable, a construction
+or classify-t5 input whose gate returns a FailedGate, an unclassified
+partition), 2 for usage errors and for every ValueError: a document that
+cannot be read, decoded or parsed, an input beyond a guard, and a base,
+input or cycle pair on the wrong graph.  An AssertionError is a broken
+invariant and ends in a traceback.  A reader that closes stdout early
+(eqpart ... | head) ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 # search first: its compile, the largest, runs before the rest load (lower peak RSS)
 from .search import (
@@ -34,6 +34,7 @@ from .search import (
 )
 from .constructions import (
     AlphabetBlocks,
+    FailedGate,
     LiftBlocks,
     eight_cycle_partition,
     is_induced_cycle,
@@ -79,14 +80,11 @@ def _read_doc(path: str) -> Any:
     return load_json(text)
 
 
-def _print_construction(build: Callable[[], TwoPartition], **extra: Any) -> int:
-    """Print the certificate of the partition build() returns, with the
-    extra fields, and exit 0; or print {"error": ...} and exit 1 when build
-    refuses its input with a ValueError."""
-    try:
-        p = build()
-    except ValueError as exc:
-        _print_json({"error": str(exc)})
+def _print_construction(p: TwoPartition | FailedGate, **extra: Any) -> int:
+    """Print the certificate of the partition p, with the extra fields, and
+    exit 0; or print {"error": ...} and exit 1 when p is a FailedGate."""
+    if isinstance(p, FailedGate):
+        _print_json({"error": p.reason})
         return 1
     s = equitable_check(p)
     assert isinstance(s, QuotientMatrix)
@@ -150,25 +148,18 @@ def _cmd_construct_a(args: argparse.Namespace) -> int:
         raise ValueError(f"invalid --blocks: {exc}") from None
     guarded_params(len(blocks.blocks) + 1, blocks.q)
     base = partition_from_doc(_read_doc(args.base))
-    return _print_construction(lambda: permutation_switching(blocks, base),
-                               blocks=to_json(blocks))
+    return _print_construction(permutation_switching(blocks, base), blocks=to_json(blocks))
 
 
 def _cmd_construct_b(args: argparse.Namespace) -> int:
-    q = args.q
     split, *others = parse_blocks(args.split)
     if others:
         raise ValueError("--split must be a single comma-separated symbol list")
-    if q < 2 or q % 2:
-        raise ValueError("--q must be even and >= 2")
-    guarded_params(4, q)
-    if any(not 0 <= x < q for x in split) or len(split) != q // 2:
-        raise ValueError(f"--split must name q/2 = {q // 2} symbols from 0..{q - 1}")
+    guarded_params(4, args.q)
     cycle_pair = None
     if args.cycle_pair is not None:
         cycle_pair = partition_from_doc(_read_doc(args.cycle_pair))
-    return _print_construction(lambda: lifted_cycle_pair(q, split, cycle_pair),
-                               split=to_json(split))
+    return _print_construction(lifted_cycle_pair(args.q, split, cycle_pair), split=to_json(split))
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
@@ -178,11 +169,11 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         raise ValueError(f"invalid --blocks: {exc}") from None
     p = partition_from_doc(_read_doc(args.input))
     guarded_params(p.params.n, blocks.q)
-    return _print_construction(lambda: lift_two_partition(p, blocks), blocks=to_json(blocks))
+    return _print_construction(lift_two_partition(p, blocks), blocks=to_json(blocks))
 
 
 def _cmd_eight_cycle(args: argparse.Namespace) -> int:
-    return _print_construction(eight_cycle_partition)
+    return _print_construction(eight_cycle_partition())
 
 
 def _cmd_classify_fn(args: argparse.Namespace) -> int:
@@ -256,10 +247,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_classify_t5(args: argparse.Namespace) -> int:
     p = partition_from_doc(_read_doc(args.input))
-    try:
-        tag = classify_reduced_lambda2(p)
-    except ValueError as exc:
-        _print_json({"error": str(exc)})
+    tag = classify_reduced_lambda2(p)
+    if isinstance(tag, FailedGate):
+        _print_json({"error": tag.reason})
         return 1
     _print_json({"tag": tagged(tag)})
     return 1 if isinstance(tag, Unclassified) else 0

@@ -31,6 +31,12 @@ from .partitions import (
 )
 
 
+class FailedGate(Record):
+    """Why an input fails a mathematical gate of a construction or the classification."""
+
+    reason: str
+
+
 class AlphabetBlocks(Record):
     """An ordered partition of the alphabet {0..q-1} into nonempty blocks."""
 
@@ -77,7 +83,7 @@ class LiftBlocks(AlphabetBlocks):
         return len(self.blocks[0])
 
 
-def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPartition:
+def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPartition | FailedGate:
     """Switch an extended base partition of H(2, q) along alphabet blocks.
 
     With blocks (A_1, ..., A_{n-1}) of {0..q-1} and a base 2-partition
@@ -91,8 +97,8 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
     slice A_i x {0..q-1} all rows {a} x alphabet (a in A_i) and all block
     columns A_i x {b} meet C in the common fraction |C| / q^2 of their
     size.  Single-symbol blocks force that fraction to be 0 or 1, which no
-    proper cell attains, so they are effectively rejected.  Violations
-    raise ValueError; the output is re-verified before it is returned.
+    proper cell attains, so they are effectively rejected.  A violation
+    returns FailedGate; the output is re-verified before it is returned.
     """
     params = base.params
     if params.n != 2:
@@ -106,7 +112,7 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
         for a in sorted(block):
             cnt = (base.cell & rows[a]).bit_count()
             if cnt * q != size:
-                raise ValueError(
+                return FailedGate(
                     f"row {a} of block {i} meets the cell in ratio {Fraction(cnt, q)}, "
                     f"expected {Fraction(size, q * q)}"
                 )
@@ -114,7 +120,7 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
         for b in range(q):
             cnt = (base.cell & block_rows & columns[b]).bit_count()
             if cnt * q * q != size * len(block):
-                raise ValueError(
+                return FailedGate(
                     f"column {b} of block {i} meets the cell in ratio "
                     f"{Fraction(cnt, len(block))}, expected {Fraction(size, q * q)}"
                 )
@@ -137,23 +143,24 @@ def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPart
     switched = TwoPartition(new_params, bits)
     s_out = equitable_check(switched)
     if isinstance(s_out, NotEquitable) or s_out.rows != ((s11 + d, s12), (s21, s22 + d)):
-        raise ValueError("switched partition lost equitability; base is not valid")
+        return FailedGate("switched partition lost equitability; base is not valid")
     return switched
 
 
-def lift_two_partition(p: TwoPartition, blocks: LiftBlocks) -> TwoPartition:
+def lift_two_partition(p: TwoPartition, blocks: LiftBlocks) -> TwoPartition | FailedGate:
     """Blow up each symbol t of H(n, q') to the block A_t inside H(n, mq').
 
-    A lifted vertex lies in the cell iff its block word does.  The input
-    must be equitable; the output is re-verified and its quotient matrix
-    must equal m*S + n(m-1)*I, which preserves the eigenvalue index set.
+    A lifted vertex lies in the cell iff its block word does.  An input
+    that is not equitable returns FailedGate; the output is re-verified
+    and its quotient matrix must equal m*S + n(m-1)*I, which preserves
+    the eigenvalue index set.
     """
     params = p.params
     if len(blocks.blocks) != params.q:
         raise ValueError("need exactly one block per base symbol")
     s_base = equitable_check(p)
     if isinstance(s_base, NotEquitable):
-        raise ValueError("input partition is not equitable")
+        return FailedGate("input partition is not equitable")
     m = blocks.block_size
     n, q = params.n, params.q
     new_params = GraphParams(n, blocks.q)
@@ -222,13 +229,14 @@ def is_induced_cycle(params: GraphParams, code: Iterable[int]) -> Optional[int]:
 
 def lifted_cycle_pair(
     q: int, split: Iterable[int], cycle_pair: TwoPartition | None = None
-) -> TwoPartition:
+) -> TwoPartition | FailedGate:
     """Alphabet-lift an induced-8-cycle pair of H(4, 2) up to H(4, q).
 
     q must be even; split is the set of symbols lifting 0 and must have
     size exactly q/2.  The default cycle pair is eight_cycle_partition().
     The output is an equitable 2-partition of H(4, q) with second
-    eigenvalue lambda_2(4, q) = 2q - 4.
+    eigenvalue lambda_2(4, q) = 2q - 4, or FailedGate when a cell of the
+    cycle pair is not an induced 8-cycle.
     """
     if q < 2 or q % 2:
         raise ValueError("alphabet size q must be even and >= 2")
@@ -243,9 +251,9 @@ def lifted_cycle_pair(
     if (cp_params.n, cp_params.q) != (4, 2):
         raise ValueError("cycle pair must be a partition of H(4, 2)")
     if is_induced_cycle(cp_params, cycle_pair.vertices()) != 8:
-        raise ValueError("cell of the cycle pair is not an induced 8-cycle")
+        return FailedGate("cell of the cycle pair is not an induced 8-cycle")
     if is_induced_cycle(cp_params, cycle_pair.complement().vertices()) != 8:
-        raise ValueError("complement of the cycle pair is not an induced 8-cycle")
+        return FailedGate("complement of the cycle pair is not an induced 8-cycle")
     # Both cells are 2-regular, so the quotient is [[2, 2], [2, 2]], and
     # lift_two_partition asserts the lifted one: lambda = 2q - 4.
     return lift_two_partition(cycle_pair, LiftBlocks((split, frozenset(range(q)) - split)))

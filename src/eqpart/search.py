@@ -28,6 +28,7 @@ from typing import Iterator, Optional, Union
 
 from .constructions import (
     AlphabetBlocks,
+    FailedGate,
     lifted_cycle_pair,
     permutation_switching,
 )
@@ -369,7 +370,8 @@ class Unclassified(Record):
     pass
 
 
-ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Unclassified]
+ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Unclassified,
+                          FailedGate]
 
 
 # The least of the 24 induced-8-cycle pairs of H(4, 2) by ascending vertex
@@ -385,7 +387,7 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
     coordinate, so along coordinate k the slices of p must take two
     values, each on q/2 symbols.  beta_k maps range(q/2) onto the class of
     symbol 0; reading one symbol of each class pulls p onto H(4, 2), and
-    that pull must be a cycle pair (lifted_cycle_pair refuses it
+    that pull must be a cycle pair (lifted_cycle_pair returns FailedGate
     otherwise).  Its lift moved by the betas is then p itself, which is
     asserted.  The lifts of all 24 cycle pairs over all splits form one
     isomorphism class (test_cycle_pair_lifts_form_one_class), so the tag
@@ -403,12 +405,12 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
             return None
         betas.append(tuple(zero + [a for a in range(q) if a not in zero]))
     h42 = GraphParams(4, 2)
-    # binary digit b of coordinate k reads symbol beta_k(b * q/2) of p
+    # binary digit b of coordinate k reads symbol beta_k(b * q/2) of p; p is the
+    # lift of this pull, so the pull is never empty or full, as p is neither
     reads = digit_table(h42, [[beta[0] * q ** (4 - k), beta[half] * q ** (4 - k)]
                               for k, beta in enumerate(betas, 1)])
-    try:
-        lift = lifted_cycle_pair(q, range(half), pull(p, h42, reads))
-    except ValueError:
+    lift = lifted_cycle_pair(q, range(half), pull(p, h42, reads))
+    if isinstance(lift, FailedGate):
         return None
     if transform(lift, Automorphism((1, 2, 3, 4), tuple(betas))) != p:
         raise AssertionError(f"the lift read off {p.cell:#x} does not rebuild it")
@@ -426,9 +428,9 @@ def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
     ascending order.  An automorphism permutes the rows of the base and
     the columns of each block separately, which keeps a base balanced, so
     the base read off must itself be balanced (permutation_switching
-    refuses it otherwise, and the next c is tried).  Its switching, moved
-    by the coordinate permutation that sends 1 to c, is then p itself,
-    which is asserted.
+    returns FailedGate otherwise, and the next c is tried).  Its
+    switching, moved by the coordinate permutation that sends 1 to c, is
+    then p itself, which is asserted.
     """
     params = p.params
     n, q = params.n, params.q
@@ -451,9 +453,8 @@ def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
                 frozenset(a for a in range(q) if sigma[a] == k) for k in others
             ))
             base = TwoPartition.from_indicator(GraphParams(2, q), rows)
-            try:
-                switched = permutation_switching(blocks, base)
-            except ValueError:
+            switched = permutation_switching(blocks, base)
+            if isinstance(switched, FailedGate):
                 continue
             # target coordinate c reads source 1, the others sources 2..n
             perm = tuple(1 if k == c else others.index(k) + 2 for k in range(1, n + 1))
@@ -467,8 +468,8 @@ def classify_reduced_lambda2(p: TwoPartition) -> ReducedLambda2Tag:
     """Tag a reduced equitable lambda_2 partition by the construction
     family that produces it.
 
-    Preconditions (ValueError): p is equitable, its second quotient
-    eigenvalue is lambda_2(n, q), and every coordinate is essential.
+    Preconditions, each a FailedGate when unmet: p is equitable, its second
+    quotient eigenvalue is lambda_2(n, q), and every coordinate is essential.
     n <= 3 is tagged SmallBase, which records whether the switching
     recognizer also matches.  For n >= 4 the cycle-pair lifting
     recognizer runs first, then the switching recognizer.  Each reads its
@@ -481,14 +482,14 @@ def classify_reduced_lambda2(p: TwoPartition) -> ReducedLambda2Tag:
     params = p.params
     s = equitable_check(p)
     if isinstance(s, NotEquitable):
-        raise ValueError("partition is not equitable")
+        return FailedGate("partition is not equitable")
     lam = s.rows[0][0] - s.rows[1][0]
     if lam != eigenvalue(params, 2):
-        raise ValueError(
+        return FailedGate(
             f"second quotient eigenvalue {lam} is not lambda_2 = {eigenvalue(params, 2)}"
         )
     if len(essential_coordinates(p)) != params.n:
-        raise ValueError("partition is not reduced; delete nonessential coordinates first")
+        return FailedGate("partition is not reduced; delete nonessential coordinates first")
     if params.n <= 3:
         return SmallBase(secondary_switching=_match_switching(p) is not None)
     tag = _match_cycle_pair_lifting(p)

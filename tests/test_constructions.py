@@ -7,6 +7,7 @@ import pytest
 
 from eqpart.constructions import (
     AlphabetBlocks,
+    FailedGate,
     LiftBlocks,
     eight_cycle_partition,
     is_induced_cycle,
@@ -90,8 +91,8 @@ def test_permutation_switching_rejects_imbalanced_base():
     # column {0} x {0} lies inside the cell, ratio 1 instead of 1/2
     base = TwoPartition.from_tuples(GraphParams(2, 2), [(0, 0), (1, 0)])
     blocks = AlphabetBlocks((frozenset({0}), frozenset({1})))
-    with pytest.raises(ValueError, match="column 0 of block 1"):
-        permutation_switching(blocks, base)
+    assert permutation_switching(blocks, base) == FailedGate(
+        "column 0 of block 1 meets the cell in ratio 1, expected 1/2")
 
 
 def test_permutation_switching_rejects_imbalanced_row():
@@ -100,8 +101,8 @@ def test_permutation_switching_rejects_imbalanced_row():
         [(0, b) for b in range(4)] + [(1, 0), (2, 0), (3, 0), (1, 1)],
     )
     blocks = AlphabetBlocks((frozenset({0, 1}), frozenset({2, 3})))
-    with pytest.raises(ValueError, match="row 0 of block 1"):
-        permutation_switching(blocks, base)
+    assert permutation_switching(blocks, base) == FailedGate(
+        "row 0 of block 1 meets the cell in ratio 1, expected 1/2")
 
 
 def test_permutation_switching_wrong_base():
@@ -170,11 +171,12 @@ def test_permutation_switching_matches_vertex_oracle():
                 if q == 5 and min(map(len, blocks.blocks)) < 2:
                     continue
                 for base in bases:
-                    try:
-                        got = permutation_switching(blocks, base).cell
+                    out = permutation_switching(blocks, base)
+                    if isinstance(out, FailedGate):
+                        got = out.reason
+                    else:
+                        got = out.cell
                         switched += parts > 1
-                    except ValueError as e:
-                        got = str(e)
                     assert got == _switching_oracle(blocks, base), (blocks, base.cell)
     assert switched == 216
 
@@ -222,8 +224,8 @@ def test_alphabet_lift_validation():
     with pytest.raises(ValueError, match="one block per base symbol"):
         lift_two_partition(pair, LiftBlocks((frozenset({0}), frozenset({1}), frozenset({2}))))
     lopsided = TwoPartition.from_vertices(GraphParams(3, 2), [0])
-    with pytest.raises(ValueError, match="not equitable"):
-        lift_two_partition(lopsided, LiftBlocks((frozenset({0, 1}), frozenset({2, 3}))))
+    assert lift_two_partition(lopsided, LiftBlocks((frozenset({0, 1}), frozenset({2, 3})))) == (
+        FailedGate("input partition is not equitable"))
 
 
 def test_eight_cycle_partition():
@@ -285,8 +287,8 @@ def test_lifted_cycle_pair_validation():
     with pytest.raises(ValueError, match="outside the alphabet"):
         lifted_cycle_pair(4, [0, 4])
     not_cycle = TwoPartition.from_vertices(GraphParams(4, 2), list(range(8)))
-    with pytest.raises(ValueError, match="induced 8-cycle"):
-        lifted_cycle_pair(4, (0, 1), not_cycle)
+    assert lifted_cycle_pair(4, (0, 1), not_cycle) == FailedGate(
+        "cell of the cycle pair is not an induced 8-cycle")
     wrong_graph = TwoPartition.from_vertices(GraphParams(3, 2), [0, 7])
     with pytest.raises(ValueError, match="H\\(4, 2\\)"):
         lifted_cycle_pair(4, (0, 1), wrong_graph)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqpart.constructions import AlphabetBlocks, LiftBlocks
+from eqpart.constructions import AlphabetBlocks, FailedGate, LiftBlocks
 from eqpart.eigenfunctions import (
     AllZero,
     Constant,
@@ -228,6 +228,7 @@ RECORDS = [
     NotEigen(),
     AlphabetBlocks(_BLOCKS),
     LiftBlocks(_BLOCKS),
+    FailedGate("input partition is not equitable"),
     EnumConstraints(eigenvalue_index=2, reduced_only=True),
     TernaryCensus(1, 2, 3, 4),
     SmallBase(True),
@@ -245,7 +246,7 @@ def _subclasses(cls):
 
 def test_records_cover_every_record_class():
     classes = [type(r) for r in RECORDS]
-    assert len(set(classes)) == len(classes) == 21
+    assert len(set(classes)) == len(classes) == 22
     assert set(classes) == set(_subclasses(Record))
 
 

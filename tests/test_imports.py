@@ -217,3 +217,36 @@ def test_one_refusal_rule():
                     raised.append(f"{path.stem}:{node.lineno} {ast.unparse(node)}")
     assert not classes, classes
     assert not raised, raised
+
+
+def _names_value_error(handler):
+    """Whether an except clause catches ValueError by name, alone or in a tuple."""
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "ValueError" for t in caught)
+
+
+def _reraises_value_error(handler):
+    """Whether the handler's whole body is one raise of a ValueError: the
+    caught one, bare, or a new one that adds context to its message."""
+    if len(handler.body) != 1 or not isinstance(raise_ := handler.body[0], ast.Raise):
+        return False
+    exc = raise_.exc.func if isinstance(raise_.exc, ast.Call) else raise_.exc
+    return exc is None or isinstance(exc, ast.Name) and exc.id == "ValueError"
+
+
+def test_value_error_is_always_a_refusal():
+    """Outside cli.run_command, which turns it into exit 2 and one stderr
+    line, a handler that catches ValueError only re-raises a ValueError:
+    a failed mathematical gate is a value (constructions.FailedGate, and
+    the like), so no handler may read a ValueError as a negative result
+    and let a refused input end as one."""
+    swallowed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            name = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            if name == "cli.run_command":
+                continue
+            if any(isinstance(node, ast.ExceptHandler) and _names_value_error(node)
+                   and not _reraises_value_error(node) for node in ast.walk(top)):
+                swallowed.append(name)
+    assert not swallowed, swallowed

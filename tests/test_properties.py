@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 from functools import lru_cache
 
 import pytest
@@ -210,3 +211,114 @@ def test_documents_never_end_in_a_traceback(tmp_path_factory, case):
             assert code in (0, 1) and err.getvalue() == "", command
             for line in out.getvalue().splitlines():
                 assert isinstance(json.loads(line), dict), command
+
+
+# Documents for the construction commands: n <= 3 and q^n <= 64, n = 1 included.
+DOC_GRAPHS = [GraphParams(n, q) for n in (1, 2, 3) for q in range(2, 9) if q ** n <= 64]
+# The reasons of the constructions' and classify_reduced_lambda2's failed gates
+GATE_REASONS = re.compile("|".join((
+    r"(row|column) \d+ of block \d+ meets the cell in ratio \d+(/\d+)?, expected \d+(/\d+)?",
+    "switched partition lost equitability; base is not valid",
+    "(input )?partition is not equitable",
+    "(cell|complement) of the cycle pair is not an induced 8-cycle",
+    r"second quotient eigenvalue -?\d+ is not lambda_2 = -?\d+",
+    "partition is not reduced; delete nonessential coordinates first",
+)))
+
+
+@st.composite
+def partition_documents(draw, graphs=DOC_GRAPHS):
+    """A partition document, whose cell is equitable half the time when the
+    graph has q^n <= 27."""
+    params = draw(st.sampled_from(graphs))
+    equitable = []
+    if params in SMALL_GRAPHS:
+        equitable = sorted(_labelled_cells(params, draw(st.integers(0, params.n))))
+    if equitable and draw(st.booleans()):
+        cell = draw(st.sampled_from(equitable))
+    else:
+        cell = draw(st.integers(1, (1 << params.vertex_count) - 2))
+    return {"format_version": 1, "n": params.n, "q": params.q,
+            "cell": cell_to_hex(cell, params.vertex_count)}
+
+
+@st.composite
+def block_texts(draw, q, size=None):
+    """Blocks such as "2,0|1,3" of a shuffled range(q), each of the given
+    size; with no size, of one drawn size half the time."""
+    symbols = draw(st.permutations(range(q)))
+    if size is None and draw(st.booleans()):
+        size = draw(st.sampled_from([d for d in range(1, q + 1) if q % d == 0]))
+    if size is None:
+        cuts = sorted(draw(st.sets(st.integers(1, q - 1))))
+    else:
+        cuts = list(range(size, q, size))
+    ends = [0, *cuts, q]
+    return "|".join(",".join(map(str, symbols[a:b])) for a, b in zip(ends, ends[1:]))
+
+
+@st.composite
+def construction_argv(draw):
+    """The argv of construct-a, construct-b, lift or classify-t5, with each
+    document in place of its path; argparse accepts every one.  Blocks
+    cover range(q'), q' in 2..8.  Half the time the arguments fit: a base
+    of H(2, q) and blocks of its alphabet, one lift block of m symbols per
+    symbol of the input, or an even q, a split of q/2 symbols and a cycle
+    pair of H(4, 2)."""
+    command = draw(st.sampled_from(("construct-a", "construct-b", "lift", "classify-t5")))
+    fit = draw(st.booleans())
+    if command == "construct-b":
+        q = draw(st.sampled_from((2, 4, 6, 8)) if fit else st.integers(-1, 8))
+        split = draw(block_texts(q // 2, q // 2) if fit else block_texts(draw(st.integers(2, 8))))
+        argv = [command, "--q", str(q), "--split", split]
+        if draw(st.booleans()):
+            graphs = [GraphParams(4, 2)] if fit else DOC_GRAPHS
+            argv += ["--cycle-pair", draw(partition_documents(graphs))]
+        return argv
+    doc = draw(partition_documents(
+        [p for p in DOC_GRAPHS if p.n == 2] if fit and command == "construct-a" else DOC_GRAPHS))
+    if command == "classify-t5":
+        return [command, doc]
+    if not fit:
+        blocks = draw(block_texts(draw(st.integers(2, 8))))
+    elif command == "construct-a":
+        blocks = draw(block_texts(doc["q"]))
+    else:
+        m = draw(st.integers(1, 8 // doc["q"]))
+        blocks = draw(block_texts(m * doc["q"], m))
+    return [command, "--blocks", blocks, "--base" if command == "construct-a" else "--input", doc]
+
+
+H32_PAIR = {"format_version": 1, "n": 3, "q": 2, "vertices": [0, 7]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=construction_argv())
+@example(argv=["construct-a", "--blocks", "0,1", "--base", H32_PAIR])
+@example(argv=["construct-a", "--blocks", "0,1|2,3", "--base",
+               {"format_version": 1, "n": 2, "q": 2, "vertices": [0, 3]}])
+@example(argv=["lift", "--blocks", "0|1|2", "--input", H32_PAIR])
+@example(argv=["construct-b", "--q", "4", "--split", "0,1", "--cycle-pair", H32_PAIR])
+@example(argv=["classify-t5", {"format_version": 1, "n": 1, "q": 3, "vertices": [0]}])
+def test_construction_commands_keep_their_contract(tmp_path_factory, argv):
+    """Exit 1 is a failed gate, printed as {"error": reason}, or an
+    unclassified tag; every other refusal is exit 2, with nothing on
+    stdout and one stderr line.  A base, input or cycle pair on the wrong
+    graph is such a refusal, and so is H(1, q), which has no lambda_2."""
+    paths = [tmp_path_factory.getbasetemp() / f"doc{k}.json" for k in range(len(argv))]
+    for path, a in zip(paths, argv):
+        if isinstance(a, dict):
+            path.write_text(json.dumps(a))
+    argv = [str(path) if isinstance(a, dict) else a for path, a in zip(paths, argv)]
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(argv, stdout=out, stderr=err)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        return
+    assert code in (0, 1) and err.getvalue() == ""
+    result, = map(json.loads, out.getvalue().splitlines())
+    if "error" in result:
+        assert code == 1 and GATE_REASONS.fullmatch(result["error"]), result
+    elif code == 1:
+        assert result["tag"]["kind"] == "unclassified", result

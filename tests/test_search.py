@@ -18,6 +18,7 @@ from eqpart import backtrack, search
 from eqpart.cli import run_command
 from eqpart.constructions import (
     AlphabetBlocks,
+    FailedGate,
     eight_cycle_partition,
     is_induced_cycle,
     lifted_cycle_pair,
@@ -102,13 +103,6 @@ def searched_rows(params, constraints):
     then the partners that are not candidates."""
     rows = [s.rows for s in candidate_quotient_matrices(params, constraints)]
     return tuple(dict.fromkeys(rows + [backtrack._partner(r) for r in rows]))
-
-
-def test_backtracking_matches_brute_force():
-    for params in (H22, GraphParams(2, 3), H32):
-        for i in range(params.n + 1):
-            c = EnumConstraints(eigenvalue_index=i)
-            assert backtracking_enumerate(params, c) == brute_force_enumerate(params, c)
 
 
 def test_backtracking_explicit_quotient():
@@ -458,6 +452,41 @@ def test_h34_index2_counts():
     }
 
 
+def _regular_matrix_count(q, r):
+    """The number of q x q 0/1 matrices whose rows and columns all sum to
+    r: a DP over the rows whose state is the sorted column sums so far,
+    since the ways to complete a prefix depend on those sums alone."""
+    states = Counter({(0,) * q: 1})
+    for _ in range(q):
+        grown = Counter()
+        for sums, ways in states.items():
+            for cols in itertools.combinations(range(q), r):
+                new = [s + (c in cols) for c, s in enumerate(sums)]
+                if max(new) <= r:
+                    grown[tuple(sorted(new))] += ways
+        states = grown
+    return states[(r,) * q]
+
+
+def test_h2q_index2_counts_are_regular_matrices(tmp_path):
+    """On H(2, q), lambda_2 = -2, and a cell is equitable with it iff, as
+    a q x q 0/1 matrix, every row and column sums to one r in 1..q-1,
+    with quotient [[2r-2, 2q-2r], [2r, 2q-2-2r]].  The enumerate summary
+    of H(2, 2) to H(2, 6) at index 2 counts those matrices exactly."""
+    for q in range(2, 7):
+        path = tmp_path / "cells.jsonl"
+        with path.open("w") as out:
+            argv = ["enumerate", "--n", "2", "--q", str(q), "--eig-index", "2"]
+            assert run_command(argv, stdout=out) == 0
+        with path.open("rb") as out:     # the summary line alone: H(2, 6) prints 25 MB
+            out.seek(max(0, path.stat().st_size - 4096))
+            summary = json.loads(out.read().splitlines()[-1])
+        assert summary["quotients"] == [
+            {"matrix": [[2 * r - 2, 2 * q - 2 * r], [2 * r, 2 * q - 2 - 2 * r]],
+             "count": _regular_matrix_count(q, r)} for r in range(1, q)
+        ], q
+
+
 def test_backtracking_does_not_recurse():
     """H(8, 2) has 256 vertices, far deeper than the frame limit set here;
     at eigenvalue index 8 the two cells are the colour classes."""
@@ -639,10 +668,9 @@ def test_switching_recognizer_matches_orbit_closure():
                 frozenset(s for s in range(q) if assignment[s] == i) for i in range(n - 1)
             ))
             for base in bases:
-                try:
-                    outputs.append(permutation_switching(blocks, base))
-                except ValueError:
-                    pass
+                out = permutation_switching(blocks, base)
+                if not isinstance(out, FailedGate):
+                    outputs.append(out)
         closure = _orbit_closure(outputs)
         reduced = backtracking_enumerate(
             params, EnumConstraints(eigenvalue_index=2, reduced_only=True)
@@ -771,15 +799,18 @@ def test_ternary_census_on_h24_and_h42():
 
 
 def test_classify_preconditions():
-    with pytest.raises(ValueError, match="not equitable"):
-        classify_reduced_lambda2(TwoPartition.from_vertices(H42, [0]))
+    assert classify_reduced_lambda2(TwoPartition.from_vertices(H42, [0])) == FailedGate(
+        "partition is not equitable")
     # eigenvalue index 1, not 2
     half = TwoPartition.from_vertices(H32, [0, 1, 2, 3])
-    with pytest.raises(ValueError, match="lambda_2"):
-        classify_reduced_lambda2(half)
+    assert classify_reduced_lambda2(half) == FailedGate(
+        "second quotient eigenvalue 1 is not lambda_2 = -1")
     padded = extend(TwoPartition.from_vertices(H32, [0, 7]), 1)
-    with pytest.raises(ValueError, match="not reduced"):
-        classify_reduced_lambda2(padded)
+    assert classify_reduced_lambda2(padded) == FailedGate(
+        "partition is not reduced; delete nonessential coordinates first")
+    # H(1, q) has no lambda_2: a refused input, not a failed gate
+    with pytest.raises(ValueError, match="eigenvalue index 2 outside"):
+        classify_reduced_lambda2(TwoPartition.from_vertices(GraphParams(1, 3), [0]))
 
 
 def test_classify_small_base():
