@@ -8,7 +8,11 @@ partition), 2 for usage errors and for every ValueError: a document that
 cannot be read, decoded or parsed, an input beyond a guard, and a base,
 input or cycle pair on the wrong graph.  An AssertionError is a broken
 invariant and ends in a traceback.  A reader that closes stdout early
-(eqpart ... | head) ends the run with exit 1 and no traceback.
+(eqpart ... | head) ends the run with exit 1 and no traceback.  Each
+handler imports the package modules it runs, so a command compiles only
+those and import eqpart.cli loads no other package module; one that runs
+search imports it first, so that the largest compile runs before the
+others load, which keeps the command's peak RSS down.
 """
 
 from __future__ import annotations
@@ -22,57 +26,13 @@ from collections import Counter
 from pathlib import Path
 from typing import Any
 
-# search first: its compile, the largest, runs before the rest load (lower peak RSS)
-from .search import (
-    EnumConstraints,
-    Unclassified,
-    backtracking_enumerate,
-    brute_force_enumerate,
-    candidate_quotient_matrices,
-    classify_reduced_lambda2,
-    enumerate_ternary_census,
-)
-from .constructions import (
-    AlphabetBlocks,
-    FailedGate,
-    LiftBlocks,
-    eight_cycle_partition,
-    is_induced_cycle,
-    lift_two_partition,
-    lifted_cycle_pair,
-    permutation_switching,
-)
-from .documents import (
-    function_from_doc,
-    guarded_params,
-    load_json,
-    parse_blocks,
-    partition_from_doc,
-    partition_lines,
-    tagged,
-    to_json,
-)
-from .eigenfunctions import NotMember, classify_lambda1, classify_top_two
-from .hamming import GraphParams, eigenvalue
-from .partitions import (
-    NotEquitable,
-    QuotientMatrix,
-    TwoPartition,
-    equitable_check,
-    essential_coordinates,
-    orthogonal_array_check,
-    predicted_cell_size,
-    quotient_eigenvalue_indices,
-    reduce as reduce_partition,
-    spectral_check,
-)
-
 
 def _print_json(obj: Any) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
 def _read_doc(path: str) -> Any:
+    from .documents import load_json
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -83,6 +43,10 @@ def _read_doc(path: str) -> Any:
 def _print_construction(p: TwoPartition | FailedGate, **extra: Any) -> int:
     """Print the certificate of the partition p, with the extra fields, and
     exit 0; or print {"error": ...} and exit 1 when p is a FailedGate."""
+    from .constructions import FailedGate
+    from .documents import to_json
+    from .partitions import (QuotientMatrix, equitable_check, essential_coordinates,
+                             quotient_eigenvalue_indices)
     if isinstance(p, FailedGate):
         _print_json({"error": p.reason})
         return 1
@@ -99,6 +63,10 @@ def _print_construction(p: TwoPartition | FailedGate, **extra: Any) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .documents import partition_from_doc, to_json
+    from .hamming import eigenvalue
+    from .partitions import (NotEquitable, equitable_check, essential_coordinates, is_induced_cycle,
+                             orthogonal_array_check, quotient_eigenvalue_indices, spectral_check)
     p = partition_from_doc(_read_doc(args.input))
     params = p.params
     cert: dict[str, Any] = {
@@ -142,6 +110,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_a(args: argparse.Namespace) -> int:
+    from .constructions import permutation_switching
+    from .documents import guarded_params, parse_blocks, partition_from_doc, to_json
+    from .hamming import AlphabetBlocks
     try:
         blocks = AlphabetBlocks(parse_blocks(args.blocks))
     except ValueError as exc:
@@ -152,6 +123,8 @@ def _cmd_construct_a(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_b(args: argparse.Namespace) -> int:
+    from .constructions import lifted_cycle_pair
+    from .documents import guarded_params, parse_blocks, partition_from_doc, to_json
     split, *others = parse_blocks(args.split)
     if others:
         raise ValueError("--split must be a single comma-separated symbol list")
@@ -163,6 +136,9 @@ def _cmd_construct_b(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
+    from .constructions import lift_two_partition
+    from .documents import guarded_params, parse_blocks, partition_from_doc, to_json
+    from .hamming import LiftBlocks
     try:
         blocks = LiftBlocks(parse_blocks(args.blocks))
     except ValueError as exc:
@@ -173,10 +149,13 @@ def _cmd_lift(args: argparse.Namespace) -> int:
 
 
 def _cmd_eight_cycle(args: argparse.Namespace) -> int:
+    from .constructions import eight_cycle_partition
     return _print_construction(eight_cycle_partition())
 
 
 def _cmd_classify_fn(args: argparse.Namespace) -> int:
+    from .documents import function_from_doc, tagged
+    from .eigenfunctions import NotMember, classify_lambda1, classify_top_two
     f = function_from_doc(_read_doc(args.input))
     form = classify_top_two(f)
     _print_json({
@@ -188,6 +167,8 @@ def _cmd_classify_fn(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    from .documents import partition_from_doc, to_json
+    from .partitions import reduce as reduce_partition
     p = partition_from_doc(_read_doc(args.input))
     reduced, removed = reduce_partition(p)
     _print_json({
@@ -198,6 +179,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _parse_quotient(text: str) -> QuotientMatrix:
+    from .partitions import QuotientMatrix
     rows = []
     for part in text.split(";"):
         try:
@@ -215,6 +197,11 @@ def _parse_quotient(text: str) -> QuotientMatrix:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .search import (EnumConstraints, backtracking_enumerate, brute_force_enumerate,
+                         candidate_quotient_matrices)
+    from .documents import partition_lines, to_json
+    from .hamming import GraphParams
+    from .partitions import predicted_cell_size
     params = GraphParams(args.n, args.q)
     constraints = EnumConstraints(
         quotient=_parse_quotient(args.quotient) if args.quotient else None,
@@ -246,6 +233,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify_t5(args: argparse.Namespace) -> int:
+    from .search import Unclassified, classify_reduced_lambda2
+    from .constructions import FailedGate
+    from .documents import partition_from_doc, tagged
     p = partition_from_doc(_read_doc(args.input))
     tag = classify_reduced_lambda2(p)
     if isinstance(tag, FailedGate):
@@ -256,6 +246,9 @@ def _cmd_classify_t5(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_ternary(args: argparse.Namespace) -> int:
+    from .search import enumerate_ternary_census
+    from .documents import to_json
+    from .hamming import GraphParams
     census = enumerate_ternary_census(GraphParams(args.n, args.q))
     _print_json({**to_json(census), "members": census.members, "total": census.total})
     return 0

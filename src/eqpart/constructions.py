@@ -18,14 +18,22 @@ which every coordinate is essential.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .hamming import GraphParams, Record, digit_masks, digit_table, neighbors
+from .hamming import (
+    AlphabetBlocks,
+    GraphParams,
+    LiftBlocks,
+    Record,
+    digit_masks,
+    digit_table,
+)
 from .partitions import (
     NotEquitable,
     QuotientMatrix,
     TwoPartition,
     equitable_check,
+    is_induced_cycle,
     pull,
     quotient_eigenvalue_indices,
 )
@@ -35,52 +43,6 @@ class FailedGate(Record):
     """Why an input fails a mathematical gate of a construction or the classification."""
 
     reason: str
-
-
-class AlphabetBlocks(Record):
-    """An ordered partition of the alphabet {0..q-1} into nonempty blocks."""
-
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        union: set[int] = set()
-        total = 0
-        for b in self.blocks:
-            if not b:
-                raise ValueError("blocks must be nonempty")
-            union |= b
-            total += len(b)
-        if total != len(union):
-            raise ValueError("blocks must be pairwise disjoint")
-        if union != set(range(len(union))):
-            raise ValueError("blocks must cover an alphabet {0..q-1} exactly")
-
-    @property
-    def q(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def block_of(self) -> dict[int, int]:
-        out = {}
-        for i, b in enumerate(self.blocks):
-            for s in b:
-                out[s] = i
-        return out
-
-
-class LiftBlocks(AlphabetBlocks):
-    """Alphabet blocks of equal size m; block t lifts base symbol t."""
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        m = len(self.blocks[0])
-        if any(len(b) != m for b in self.blocks):
-            raise ValueError("lift blocks must all have the same size")
-
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks[0])
 
 
 def permutation_switching(blocks: AlphabetBlocks, base: TwoPartition) -> TwoPartition | FailedGate:
@@ -201,30 +163,6 @@ def eight_cycle_partition() -> TwoPartition:
     """
     params = GraphParams(4, 2)
     return TwoPartition.from_tuples(params, _EIGHT_CYCLE_TUPLES)
-
-
-def is_induced_cycle(params: GraphParams, code: Iterable[int]) -> Optional[int]:
-    """Length of the cycle induced by the vertex set, or None.
-
-    The induced subgraph must be connected and 2-regular; sets of fewer
-    than 3 vertices never qualify.
-    """
-    vs = set(code)
-    if any(not 0 <= v < params.vertex_count for v in vs):
-        raise ValueError("code contains out-of-range vertices")
-    if len(vs) < 3:
-        return None
-    # the members' neighbors alone: a table of the whole graph costs q^n rows
-    nbrs = {v: [w for _, w in neighbors(params, v) if w in vs] for v in vs}
-    if any(len(ws) != 2 for ws in nbrs.values()):
-        return None
-    seen, stack = set(), [min(vs)]
-    while stack:
-        v = stack.pop()
-        if v not in seen:
-            seen.add(v)
-            stack += nbrs[v]
-    return len(vs) if seen == vs else None
 
 
 def lifted_cycle_pair(

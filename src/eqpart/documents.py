@@ -24,9 +24,7 @@ import re
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
-from .constructions import AlphabetBlocks
-from .eigenfunctions import VertexFunction
-from .hamming import GraphParams, Record
+from .hamming import AlphabetBlocks, GraphParams, Record
 from .partitions import TwoPartition
 
 FORMAT_VERSION = 1
@@ -131,6 +129,8 @@ def partition_from_doc(doc: Mapping[str, Any]) -> TwoPartition:
 
 
 def function_from_doc(doc: Mapping[str, Any]) -> VertexFunction:
+    from .eigenfunctions import VertexFunction
+
     if not isinstance(doc, Mapping):
         raise ValueError("function document must be a JSON object")
     _check_version(doc)

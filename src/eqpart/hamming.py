@@ -121,6 +121,52 @@ class GraphParams(Record):
         object.__setattr__(self, "degree", self.n * (self.q - 1))
 
 
+class AlphabetBlocks(Record):
+    """An ordered partition of the alphabet {0..q-1} into nonempty blocks."""
+
+    blocks: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        if not self.blocks:
+            raise ValueError("need at least one block")
+        union: set[int] = set()
+        total = 0
+        for b in self.blocks:
+            if not b:
+                raise ValueError("blocks must be nonempty")
+            union |= b
+            total += len(b)
+        if total != len(union):
+            raise ValueError("blocks must be pairwise disjoint")
+        if union != set(range(len(union))):
+            raise ValueError("blocks must cover an alphabet {0..q-1} exactly")
+
+    @property
+    def q(self) -> int:
+        return sum(len(b) for b in self.blocks)
+
+    def block_of(self) -> dict[int, int]:
+        out = {}
+        for i, b in enumerate(self.blocks):
+            for s in b:
+                out[s] = i
+        return out
+
+
+class LiftBlocks(AlphabetBlocks):
+    """Alphabet blocks of equal size m; block t lifts base symbol t."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        m = len(self.blocks[0])
+        if any(len(b) != m for b in self.blocks):
+            raise ValueError("lift blocks must all have the same size")
+
+    @property
+    def block_size(self) -> int:
+        return len(self.blocks[0])
+
+
 def eigenvalue(params: GraphParams, i: int) -> int:
     """The i-th adjacency eigenvalue (q-1)n - qi of H(n, q), 0 <= i <= n.
 

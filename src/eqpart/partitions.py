@@ -24,6 +24,7 @@ from .hamming import (
     digit_table,
     eigenvalue,
     encode_vertex,
+    neighbors,
     residual_witness,
 )
 
@@ -243,6 +244,30 @@ def orthogonal_array_check(p: TwoPartition, s: QuotientMatrix) -> FiberMismatch 
             if count != expected:
                 return FiberMismatch(k, a, count, expected)
     return None
+
+
+def is_induced_cycle(params: GraphParams, code: Iterable[int]) -> int | None:
+    """Length of the cycle induced by the vertex set, or None.
+
+    The induced subgraph must be connected and 2-regular; sets of fewer
+    than 3 vertices never qualify.
+    """
+    vs = set(code)
+    if any(not 0 <= v < params.vertex_count for v in vs):
+        raise ValueError("code contains out-of-range vertices")
+    if len(vs) < 3:
+        return None
+    # the members' neighbors alone: a table of the whole graph costs q^n rows
+    nbrs = {v: [w for _, w in neighbors(params, v) if w in vs] for v in vs}
+    if any(len(ws) != 2 for ws in nbrs.values()):
+        return None
+    seen, stack = set(), [min(vs)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack += nbrs[v]
+    return len(vs) if seen == vs else None
 
 
 def slices(params: GraphParams, cell: int) -> list[list[int]]:

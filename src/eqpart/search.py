@@ -18,6 +18,8 @@ the slices of a partition and rebuilds the partition from them.
 The ternary census classifies only the functions in the span of the top
 two eigenspaces, which a meet-in-the-middle join over the linear
 residual of the lambda_1 eigen-equation finds, and counts the rest.
+The census and the classification import eigenfunctions and
+constructions when they run, so that enumerate compiles neither.
 """
 
 from __future__ import annotations
@@ -26,21 +28,8 @@ import warnings
 from math import comb
 from typing import Iterator, Optional, Union
 
-from .constructions import (
-    AlphabetBlocks,
-    FailedGate,
-    lifted_cycle_pair,
-    permutation_switching,
-)
-from .eigenfunctions import (
-    Constant,
-    NotMember,
-    QuasiCross,
-    QuasiString,
-    VertexFunction,
-    classify_top_two,
-)
 from .hamming import (
+    AlphabetBlocks,
     Automorphism,
     GraphParams,
     Record,
@@ -314,6 +303,9 @@ def enumerate_ternary_census(params: GraphParams) -> TernaryCensus:
 
     Guarded to q^n <= 18 and to at most 2^16 members by that closed form.
     """
+    from .eigenfunctions import (Constant, NotMember, QuasiCross, QuasiString, VertexFunction,
+                                 classify_top_two)
+
     n, q, n_vertices = params.n, params.q, params.vertex_count
     # the vertex bound comes first, so that no power below exceeds 3^18
     if n_vertices > TERNARY_VERTEX_LIMIT:
@@ -371,7 +363,7 @@ class Unclassified(Record):
 
 
 ReducedLambda2Tag = Union[SmallBase, CyclePairLifting, SwitchingConstruction, Unclassified,
-                          FailedGate]
+                          "FailedGate"]
 
 
 # The least of the 24 induced-8-cycle pairs of H(4, 2) by ascending vertex
@@ -393,6 +385,8 @@ def _match_cycle_pair_lifting(p: TwoPartition) -> Optional[CyclePairLifting]:
     isomorphism class (test_cycle_pair_lifts_form_one_class), so the tag
     names the first split and the least pair.
     """
+    from .constructions import FailedGate, lifted_cycle_pair
+
     params = p.params
     q = params.q
     if params.n != 4 or q % 2:
@@ -432,6 +426,8 @@ def _match_switching(p: TwoPartition) -> Optional[SwitchingConstruction]:
     switching, moved by the coordinate permutation that sends 1 to c, is
     then p itself, which is asserted.
     """
+    from .constructions import FailedGate, permutation_switching
+
     params = p.params
     n, q = params.n, params.q
     ident = (tuple(range(q)),) * n
@@ -479,6 +475,8 @@ def classify_reduced_lambda2(p: TwoPartition) -> ReducedLambda2Tag:
     Unclassified result is flagged loudly because it would be a
     counterexample to that classification.
     """
+    from .constructions import FailedGate
+
     params = p.params
     s = equitable_check(p)
     if isinstance(s, NotEquitable):

@@ -15,10 +15,7 @@ import time
 import warnings
 
 from eqpart.constructions import (
-    AlphabetBlocks,
-    LiftBlocks,
     eight_cycle_partition,
-    is_induced_cycle,
     lift_two_partition,
     lifted_cycle_pair,
     permutation_switching,
@@ -39,13 +36,21 @@ from eqpart.eigenfunctions import (
     restrict,
     restriction_difference,
 )
-from eqpart.hamming import GraphParams, eigenvalue, neighbor_table, random_automorphism
+from eqpart.hamming import (
+    AlphabetBlocks,
+    GraphParams,
+    LiftBlocks,
+    eigenvalue,
+    neighbor_table,
+    random_automorphism,
+)
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
     equitable_check,
     essential_coordinates,
     extend,
+    is_induced_cycle,
     orthogonal_array_check,
     predicted_cell_size,
     quotient_eigenvalue_indices,

@@ -308,7 +308,8 @@ def test_enumerate_routes_refuse_the_same_quotients():
 
 def test_enumerate_refuses_a_cell_of_no_candidate_size(monkeypatch):
     """A cell whose size is no candidate's means the search is at fault."""
-    monkeypatch.setattr("eqpart.cli.backtracking_enumerate", lambda params, constraints, threads: [1])
+    monkeypatch.setattr("eqpart.search.backtracking_enumerate",
+                        lambda params, constraints, threads: [1])
     with pytest.raises(AssertionError, match="no candidate quotient"):
         run(["enumerate", "--n", "2", "--q", "2", "--eig-index", "2"])
 

@@ -6,16 +6,13 @@ from fractions import Fraction
 import pytest
 
 from eqpart.constructions import (
-    AlphabetBlocks,
     FailedGate,
-    LiftBlocks,
     eight_cycle_partition,
-    is_induced_cycle,
     lift_two_partition,
     lifted_cycle_pair,
     permutation_switching,
 )
-from eqpart.hamming import GraphParams, eigenvalue
+from eqpart.hamming import AlphabetBlocks, GraphParams, LiftBlocks, eigenvalue
 from eqpart.partitions import (
     NotEquitable,
     QuotientMatrix,
@@ -23,6 +20,7 @@ from eqpart.partitions import (
     equitable_check,
     essential_coordinates,
     extend,
+    is_induced_cycle,
     quotient_eigenvalue_indices,
 )
 from eqpart.search import EnumConstraints, backtracking_enumerate

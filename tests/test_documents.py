@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from eqpart.cli import run_command
-from eqpart.constructions import AlphabetBlocks, eight_cycle_partition
+from eqpart.constructions import eight_cycle_partition
 from eqpart.documents import (
     blocks_to_text,
     cell_to_hex,
@@ -33,7 +33,7 @@ from eqpart.eigenfunctions import (
     QuasiString,
     VertexFunction,
 )
-from eqpart.hamming import GraphParams
+from eqpart.hamming import AlphabetBlocks, GraphParams
 from eqpart.partitions import FiberMismatch, TwoPartition
 from eqpart.search import CyclePairLifting, SmallBase, SwitchingConstruction, Unclassified
 

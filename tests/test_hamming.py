@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from eqpart.constructions import AlphabetBlocks, FailedGate, LiftBlocks
+from eqpart.constructions import FailedGate
 from eqpart.eigenfunctions import (
     AllZero,
     Constant,
@@ -17,8 +17,10 @@ from eqpart.eigenfunctions import (
     VertexFunction,
 )
 from eqpart.hamming import (
+    AlphabetBlocks,
     Automorphism,
     GraphParams,
+    LiftBlocks,
     Record,
     coordinate_stride,
     digit_masks,

@@ -11,6 +11,7 @@ module is checked as soon as it exists.
 
 import ast
 import builtins
+import json
 import os
 import subprocess
 import sys
@@ -26,13 +27,13 @@ MODULES = tuple(sorted(path.stem for path in PACKAGE.glob("*.py")
                        if path.stem not in ("__init__", "__main__")))
 
 
-def _loaded_by(module):
-    """The names in sys.modules after import eqpart.<module> in a fresh
-    interpreter."""
+def _loaded_by(module, code="pass", *argv):
+    """The names in sys.modules after import eqpart.<module> and then code,
+    with sys.argv[1:] set to argv, in a fresh interpreter."""
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    code = f"import sys, eqpart.{module}; print(*sys.modules, sep='\\n')"
-    child = subprocess.run([sys.executable, "-c", code],
+    code = f"import sys, eqpart.{module}; {code}; print(*sys.modules, sep='\\n')"
+    child = subprocess.run([sys.executable, "-c", code, *argv],
                            capture_output=True, text=True, env=env, timeout=60)
     assert child.returncode == 0, child.stderr
     return set(child.stdout.split())
@@ -43,19 +44,46 @@ def test_module_imports_alone(module):
     assert f"eqpart.{module}" in _loaded_by(module)
 
 
-def test_cli_loads_the_same_eqpart_modules():
-    """import eqpart.cli loads exactly these eqpart modules, eagerly.  Runs
-    write no bytecode cache, so every command compiles each of them, and
-    compiling the largest, search, on top of the others set the start-up
-    peak RSS; cli imports it first, which lowers that peak by about
-    0.25 MB.  Importing the modules lazily from cli does not lower it: in
-    a variant that did, each certify command's peak RSS rose by about
-    0.25 MB (at most 16,516 to 16,768 kB), since the compiles then ran
-    after the parser was built, on top of its memory.  Only a search
-    compiles backtrack, and only search imports it."""
-    assert {m for m in _loaded_by("cli") if m.startswith("eqpart")} == {
-        "eqpart", "eqpart.cli", "eqpart.constructions", "eqpart.documents",
-        "eqpart.eigenfunctions", "eqpart.hamming", "eqpart.partitions", "eqpart.search"}
+def test_each_command_loads_only_its_modules(tmp_path):
+    """import eqpart.cli loads no other package module, and each command
+    loads exactly the modules it runs: a command that writes no bytecode
+    cache compiles every module it imports, which is most of its start-up.
+    So verify and reduce never compile constructions, eigenfunctions or
+    search, and enumerate compiles neither of the first two.  Only a
+    search compiles backtrack, and only search imports it."""
+    docs = {"cycles": {"n": 4, "q": 2, "cell": "e427"},     # both cells 2-regular
+            "edge": {"n": 2, "q": 2, "vertices": [0, 1]},
+            "vertex": {"n": 2, "q": 2, "vertices": [0]},     # not equitable
+            "function": {"n": 2, "q": 3, "values": [1, 1, 1, -1, -1, -1, 0, 0, 0]}}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps({"format_version": 1, **doc}))
+    read = {"documents", "hamming", "partitions"}
+    build = read | {"constructions"}
+    search = read | {"search"}
+    assert {m for m in _loaded_by("cli") if m.startswith("eqpart")} == {"eqpart", "eqpart.cli"}
+    loads = [
+        (["no-such-command"], 2, set()),
+        (["verify", "edge"], 0, read),
+        (["verify", "cycles"], 0, read),
+        (["verify", "vertex"], 1, read),
+        (["reduce", "edge"], 0, read),
+        (["construct-a", "--blocks", "0,1", "--base", "cycles"], 2, build),
+        (["construct-b", "--q", "4", "--split", "0,1"], 0, build),
+        (["lift", "--blocks", "0,1|2,3", "--input", "edge"], 0, build),
+        (["eight-cycle"], 0, build),
+        (["classify-fn", "function"], 0, read | {"eigenfunctions"}),
+        (["enumerate", "--n", "2", "--q", "3", "--eig-index", "1"], 0, search | {"backtrack"}),
+        (["enumerate", "--n", "2", "--q", "2", "--quotient", "1,1;1,1", "--brute-force"], 0,
+         search),
+        (["classify-t5", "cycles"], 0, search | {"constructions"}),
+        (["sweep-ternary", "--n", "1", "--q", "3"], 0, search | {"eigenfunctions"}),
+    ]
+    run = "import io; code = eqpart.cli.run_command(sys.argv[1:], io.StringIO(), io.StringIO())"
+    for argv, code, modules in loads:
+        argv = [str(tmp_path / a) if a in docs else a for a in argv]
+        expected = {"eqpart", "eqpart.cli"} | {f"eqpart.{m}" for m in modules}
+        loaded = _loaded_by("cli", f"{run}; assert code == {code}", *argv)
+        assert {m for m in loaded if m.startswith("eqpart")} == expected, argv
     for module in MODULES:
         if module not in ("search", "backtrack"):
             tree = ast.parse(Path(PACKAGE, f"{module}.py").read_text())

@@ -289,6 +289,29 @@ def construction_argv(draw):
     return [command, "--blocks", blocks, "--base" if command == "construct-a" else "--input", doc]
 
 
+def _run_argv(tmp_path_factory, argv):
+    """run_command on argv, each document in it written to a file and
+    passed by its path.  Returns the exit code and the stdout lines parsed
+    as JSON objects, after checking the contract every command keeps: exit
+    0, 1 or 2 and no exception; exit 2 with nothing on stdout and one
+    stderr line, "error: <reason>"; exit 0 or 1 with nothing on stderr."""
+    paths = [tmp_path_factory.getbasetemp() / f"doc{k}.json" for k in range(len(argv))]
+    for path, a in zip(paths, argv):
+        if isinstance(a, dict):
+            path.write_text(json.dumps(a))
+    argv = [str(path) if isinstance(a, dict) else a for path, a in zip(paths, argv)]
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(argv, stdout=out, stderr=err)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+        return code, []
+    assert code in (0, 1) and err.getvalue() == "", argv
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert lines and all(isinstance(line, dict) for line in lines), argv
+    return code, lines
+
+
 H32_PAIR = {"format_version": 1, "n": 3, "q": 2, "vertices": [0, 7]}
 
 
@@ -305,20 +328,90 @@ def test_construction_commands_keep_their_contract(tmp_path_factory, argv):
     unclassified tag; every other refusal is exit 2, with nothing on
     stdout and one stderr line.  A base, input or cycle pair on the wrong
     graph is such a refusal, and so is H(1, q), which has no lambda_2."""
-    paths = [tmp_path_factory.getbasetemp() / f"doc{k}.json" for k in range(len(argv))]
-    for path, a in zip(paths, argv):
-        if isinstance(a, dict):
-            path.write_text(json.dumps(a))
-    argv = [str(path) if isinstance(a, dict) else a for path, a in zip(paths, argv)]
-    out, err = io.StringIO(), io.StringIO()
-    code = run_command(argv, stdout=out, stderr=err)
+    code, lines = _run_argv(tmp_path_factory, argv)
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         return
-    assert code in (0, 1) and err.getvalue() == ""
-    result, = map(json.loads, out.getvalue().splitlines())
+    result, = lines
     if "error" in result:
         assert code == 1 and GATE_REASONS.fullmatch(result["error"]), result
     elif code == 1:
         assert result["tag"]["kind"] == "unclassified", result
+
+
+# Option values of the search commands.  Every admitted graph has n in
+# {1, 2, 3} and q in {2, 3}, so it runs at once: at most 27 vertices, and
+# the brute force sweeps at most 2^9 cells since it refuses H(3, 3).  Every
+# other value is refused before any work: n or q out of range, q^n past
+# 2^32, or, for q = 513, past the 512 vertices of the search and the 18 of
+# the census.  The search forks at most one worker per CPU, whatever
+# --threads asks for.
+EXTREMES = [-(1 << 64), -1, 0, 1 << 33, 1 << 64]
+MALFORMED_QUOTIENTS = ["", ";", "1,1", "1,1;1", "1,1;1,1;1,1", "a,b;c,d", "1.5,1;1,1",
+                       "1,,1;1,1", "-1,5;2,2", f"{10 ** 30},0;0,1", " 2 , 2 ; 1 , 3 "]
+
+
+@st.composite
+def search_argv(draw):
+    """The argv of verify, enumerate or sweep-ternary: a partition
+    document, or --n, --q, --eig-index, --quotient (or neither
+    constraint), --threads and the flags.  Half the time the options fit:
+    a small graph, an index in [0, n], a quotient with the degree as its
+    row sums and one or two threads; otherwise they take extreme and
+    negative values and malformed quotients too.  Options take the
+    --name=value form, so argparse accepts every value and each refusal is
+    the handler's."""
+    command = draw(st.sampled_from(("verify", "enumerate", "sweep-ternary")))
+    if command == "verify":
+        return [command, draw(partition_documents())]
+    fit = draw(st.booleans())
+    n = draw(st.sampled_from([1, 2, 3] if fit else [1, 2, 3, *EXTREMES]))
+    q = draw(st.sampled_from([2, 3] if fit else [2, 3, 513, *EXTREMES]))
+    argv = [command, f"--n={n}", f"--q={q}"]
+    if command == "sweep-ternary":
+        return argv
+    constraint = draw(st.sampled_from(("index", "quotient") + (() if fit else ("neither",))))
+    if constraint == "index":
+        argv.append(f"--eig-index={draw(st.integers(0, n) if fit else st.sampled_from(EXTREMES))}")
+    elif constraint == "quotient" and fit:
+        k = n * (q - 1)
+        s11, s21 = draw(st.integers(0, k)), draw(st.integers(0, k))
+        argv.append(f"--quotient={s11},{k - s11};{s21},{k - s21}")
+    elif constraint == "quotient":
+        argv.append("--quotient=" + draw(st.one_of(
+            st.sampled_from(MALFORMED_QUOTIENTS), st.text(",;-0123456789 ", max_size=12))))
+    argv += [flag for flag in ("--brute-force", "--reduced-only", "--up-to-iso")
+             if draw(st.booleans())]
+    return argv + [f"--threads={draw(st.sampled_from([1, 2] if fit else [-1, 0, 1 << 64]))}"]
+
+
+CYCLE_PAIR = {"format_version": 1, "n": 4, "q": 2, "cell": "e427"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=search_argv())
+@example(argv=["verify", CYCLE_PAIR])   # both cells 2-regular: the induced cycles
+@example(argv=["verify", {"format_version": 1, "n": 2, "q": 2, "vertices": [0]}])
+@example(argv=["enumerate", "--n=2", "--q=3", "--quotient=2,2;1,3", "--up-to-iso"])
+@example(argv=["enumerate", "--n=2", "--q=3", "--eig-index=1", "--brute-force"])
+@example(argv=["enumerate", "--n=3", "--q=2", "--eig-index=2", "--reduced-only", "--threads=2"])
+@example(argv=["enumerate", "--n=2", "--q=2", "--eig-index=1", "--threads=0"])
+@example(argv=["sweep-ternary", "--n=1", "--q=19"])    # past TERNARY_VERTEX_LIMIT
+@example(argv=["sweep-ternary", "--n=2", "--q=3"])
+def test_search_commands_keep_their_contract(tmp_path_factory, argv):
+    """verify, enumerate and sweep-ternary end every argv with exit 0, 1 or
+    2 and no traceback, and exit 2 with one stderr line only.  verify
+    prints one certificate, and exit 1 only when it is not equitable;
+    enumerate prints its cells and then the summary that counts them, with
+    exit 0; sweep-ternary prints counts of all 3^(q^n) functions."""
+    code, lines = _run_argv(tmp_path_factory, argv)
+    if code == 2:
+        return
+    if argv[0] == "verify":
+        cert, = lines
+        assert cert["equitable"] == (code == 0), cert
+    elif argv[0] == "enumerate":
+        assert code == 0 and lines[-1]["count"] == len(lines) - 1, argv
+        assert sum(q["count"] for q in lines[-1]["quotients"]) == len(lines) - 1, argv
+    else:
+        census, = lines
+        assert code == 0 and census["total"] == 3 ** int(argv[2][4:]) ** int(argv[1][4:]), census

@@ -17,21 +17,20 @@ import pytest
 from eqpart import backtrack, search
 from eqpart.cli import run_command
 from eqpart.constructions import (
-    AlphabetBlocks,
     FailedGate,
     eight_cycle_partition,
-    is_induced_cycle,
     lifted_cycle_pair,
     permutation_switching,
 )
 from eqpart.documents import cell_to_hex, hex_to_cell
 from eqpart.eigenfunctions import VertexFunction, in_top_two_eigenspaces
-from eqpart.hamming import Automorphism, GraphParams, encode_vertex
+from eqpart.hamming import AlphabetBlocks, Automorphism, GraphParams, encode_vertex
 from eqpart.partitions import (
     QuotientMatrix,
     TwoPartition,
     equitable_check,
     extend,
+    is_induced_cycle,
     orbit_closure,
     transform,
 )
